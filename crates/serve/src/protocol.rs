@@ -534,6 +534,7 @@ impl Response {
 mod tests {
     use super::*;
     use metaseg_data::SemanticClass;
+    use proptest::prelude::*;
 
     fn tiny_probs() -> ProbMap {
         let mut probs = ProbMap::uniform(2, 1, 3);
@@ -770,5 +771,50 @@ mod tests {
         assert!(FrameFormat::Binary(ProbEncoding::F64).is_lossless());
         assert!(!FrameFormat::Binary(ProbEncoding::F32).is_lossless());
         assert!(!FrameFormat::Binary(ProbEncoding::U16).is_lossless());
+    }
+
+    /// One character of the given class, each a case the JSON string scan
+    /// treats differently: printable ASCII, the two stop bytes `"` and `\`,
+    /// `/`, raw control characters U+0000–U+001F, DEL, and 2-, 3- and 4-byte
+    /// code points (surrogates skipped).
+    fn scan_char(class: u32, pick: u32) -> char {
+        let code = match class {
+            0 => 0x20 + pick % 0x5F,
+            1 => u32::from(b'"'),
+            2 => u32::from(b'\\'),
+            3 => u32::from(b'/'),
+            4 => pick % 0x20,
+            5 => 0x7F,
+            6 => 0x80 + pick % (0x800 - 0x80),
+            7 => match 0x800 + pick % 0xF000 {
+                code if code >= 0xD800 => code + 0x800,
+                code => code,
+            },
+            _ => 0x1_0000 + pick % (0x11_0000 - 0x1_0000),
+        };
+        char::from_u32(code).expect("every class maps to a scalar value")
+    }
+
+    fn scan_string(picks: &[(u32, u32)]) -> String {
+        picks
+            .iter()
+            .map(|&(class, pick)| scan_char(class, pick))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn prop_open_requests_roundtrip_arbitrary_strings(
+            model in proptest::collection::vec((0u32..9, any::<u32>()), 0..24),
+            camera in proptest::collection::vec((0u32..9, any::<u32>()), 0..24)
+        ) {
+            let request = Request::Open {
+                model: scan_string(&model),
+                camera: scan_string(&camera),
+            };
+            let line = request.encode();
+            prop_assert!(!line.contains('\n'), "one message per line: {line:?}");
+            prop_assert_eq!(Request::decode(&line).unwrap(), request);
+        }
     }
 }

@@ -64,6 +64,10 @@ type DeadlineEntry = (Instant, u8, u64, u64);
 struct ByteBuf {
     data: Vec<u8>,
     start: usize,
+    /// Length of the buffered prefix already searched for a newline and
+    /// known to hold none, so a line arriving over many reads is scanned
+    /// once in total, not once per read.
+    scanned: usize,
 }
 
 impl ByteBuf {
@@ -71,6 +75,7 @@ impl ByteBuf {
         ByteBuf {
             data: Vec::new(),
             start: 0,
+            scanned: 0,
         }
     }
 
@@ -88,6 +93,7 @@ impl ByteBuf {
 
     fn consume(&mut self, count: usize) {
         self.start += count;
+        self.scanned = self.scanned.saturating_sub(count);
         debug_assert!(self.start <= self.data.len());
         if self.start == self.data.len() {
             self.data.clear();
@@ -95,6 +101,19 @@ impl ByteBuf {
         } else if self.start > 4096 && self.start * 2 > self.data.len() {
             self.data.drain(..self.start);
             self.start = 0;
+        }
+    }
+
+    /// Offset of the first buffered newline, searching only the bytes that
+    /// arrived since the last search.
+    fn find_newline(&mut self) -> Option<usize> {
+        let unscanned = &self.as_slice()[self.scanned..];
+        match unscanned.iter().position(|&b| b == b'\n') {
+            Some(offset) => Some(self.scanned + offset),
+            None => {
+                self.scanned = self.len();
+                None
+            }
         }
     }
 
@@ -595,7 +614,7 @@ impl Transport {
                         }
                         self.route_binary_header(conn);
                     } else {
-                        match buffered.iter().position(|&b| b == b'\n') {
+                        match conn.inbuf.find_newline() {
                             Some(position) => {
                                 let line = conn.inbuf.take(position + 1);
                                 self.handle_line(conn, &line);
@@ -606,7 +625,7 @@ impl Transport {
                                 // never sends a newline must not grow server
                                 // memory without bound. No response — there
                                 // is no parseable request to answer.
-                                if buffered.len() > self.shared.config.max_line_bytes {
+                                if conn.inbuf.len() > self.shared.config.max_line_bytes {
                                     return ReadOutcome::Dead;
                                 }
                                 return ReadOutcome::Alive;
@@ -1119,5 +1138,22 @@ mod tests {
             ErrorKind::Interrupted,
             "signal"
         )));
+    }
+
+    #[test]
+    fn newline_search_resumes_where_the_last_one_stopped() {
+        let mut buf = ByteBuf::new();
+        buf.extend(b"{\"op\":");
+        assert_eq!(buf.find_newline(), None);
+        assert_eq!(buf.scanned, 6);
+        buf.extend(b"\"ping\"}\n{\"op\"");
+        assert_eq!(buf.find_newline(), Some(13));
+        assert_eq!(buf.take(14), b"{\"op\":\"ping\"}\n");
+        // Taking the line forgets the scanned prefix it covered.
+        assert_eq!(buf.scanned, 0);
+        assert_eq!(buf.find_newline(), None);
+        assert_eq!(buf.scanned, 5);
+        buf.extend(b":\"ping\"}\n");
+        assert_eq!(buf.find_newline(), Some(13));
     }
 }

@@ -9,12 +9,15 @@ use metaseg_suite::metaseg::stream::{FrameVerdicts, MetaSegStream, StreamConfig}
 use metaseg_suite::metaseg_data::ProbEncoding;
 use metaseg_suite::metaseg_learners::MetaPredictor;
 use metaseg_suite::metaseg_serve::{
-    ErrorCode, FrameFormat, ModelRegistry, ServeClient, Server, ServerConfig, ServerHandle,
+    ErrorCode, FrameFormat, ModelRegistry, Request, Response, ServeClient, Server, ServerConfig,
+    ServerHandle,
 };
 use metaseg_suite::metaseg_sim::{
     DecodedFrameSource, NetworkProfile, NetworkSim, ProbMap, VideoConfig, VideoStream,
 };
 use rand::{rngs::StdRng, SeedableRng};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -104,6 +107,66 @@ fn served_verdicts_are_bit_identical_to_in_process_streaming() {
     assert_eq!(stats.sessions_opened, 2);
     assert_eq!(stats.frames_processed, 2 * FRAMES_PER_CAMERA);
     assert_eq!(stats.rejected, 0);
+}
+
+#[test]
+fn json_lines_split_across_writes_are_framed_in_order() {
+    // The event loop resumes its newline search where the previous read
+    // stopped. A frame line that arrives in pieces, whose last piece also
+    // carries a whole second line and the head of a third, must still be
+    // framed exactly: three replies, in order, bit-identical.
+    let handle = spawn_server(ServerConfig::default());
+    let stream = TcpStream::connect(handle.local_addr()).expect("connect succeeds");
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut read_reply = move || {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        Response::decode(reply.trim_end()).unwrap()
+    };
+
+    let open = Request::Open {
+        model: "default".into(),
+        camera: "cam-split".into(),
+    };
+    writeln!(writer, "{}", open.encode()).unwrap();
+    let Response::Opened { session, .. } = read_reply() else {
+        panic!("open must succeed");
+    };
+
+    let frames = camera_frames(0);
+    let lines: Vec<Vec<u8>> = frames[..3]
+        .iter()
+        .map(|probs| format!("{}\n", Request::encode_frame(session, probs)).into_bytes())
+        .collect();
+    let (first, second, third) = (&lines[0], &lines[1], &lines[2]);
+    let (cut_a, cut_b, cut_c) = (first.len() / 3, 2 * first.len() / 3, third.len() / 2);
+    let mut last = first[cut_b..].to_vec();
+    last.extend_from_slice(second);
+    last.extend_from_slice(&third[..cut_c]);
+    for piece in [
+        &first[..cut_a],
+        &first[cut_a..cut_b],
+        &last[..],
+        &third[cut_c..],
+    ] {
+        writer.write_all(piece).unwrap();
+        // Let each piece arrive as reads of its own.
+        thread::sleep(Duration::from_millis(20));
+    }
+
+    let served: Vec<FrameVerdicts> = (0..3)
+        .map(|_| match read_reply() {
+            Response::Verdicts {
+                frame, verdicts, ..
+            } => FrameVerdicts { frame, verdicts },
+            other => panic!("expected verdicts, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(served, in_process_verdicts(&frames[..3]));
+    let stats = handle.shutdown();
+    assert_eq!(stats.frames_processed, 3);
 }
 
 /// Drives `cameras` concurrent sessions against `addr` in the given frame
