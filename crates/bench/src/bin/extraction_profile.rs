@@ -2,30 +2,30 @@
 //! wire-to-scratch payload fast path vs the retained pre-fusion kernel.
 //!
 //! Measures frames/s and per-frame heap-allocation traffic (via a counting
-//! global allocator) for six variants of `frame_metrics` on a small and a
-//! large simulated scene:
+//! global allocator) for five extraction variants on a small and a large
+//! simulated scene:
 //!
 //! * `legacy` — [`metaseg::pipeline::baseline::legacy_frame_metrics`], the
 //!   retained pre-fusion kernel (separate argmax pass, pixel-materialising
 //!   labelling, per-segment hash maps, per-frame allocations),
-//! * `serial` — the fused kernel forced to one band, reusing one
-//!   [`metaseg::ExtractionScratch`],
-//! * `banded` — the fused kernel with automatic band selection (on
+//! * `serial` — [`metaseg::frame_metrics`], the fused kernel on one band
+//!   with its thread-local scratch,
+//! * `banded` — [`metaseg::extract_frame`] with an owned
+//!   [`metaseg::ExtractionScratch`] and automatic band selection (on
 //!   multi-core machines the large scene splits into horizontal bands; band
 //!   count is reported),
-//! * `fused_f64` — the zero-copy payload path: quantized-u16 wire bytes
-//!   dequantized directly into the scratch plane, exact f64 dispersion scan
-//!   (bit-identical records to decode-via-`ProbMap` + `serial`),
-//! * `fused_f32` — the same payload path with the vectorisable f32
-//!   dispersion scan in its pixel-major layout,
-//! * `fused_f32_tiled` — the f32 scan over channel-major SoA tiles
-//!   (both layouts are measured so the shipped default stays the winner).
+//! * `fused_f64` — [`metaseg::extract_frame_payload`], the zero-copy
+//!   payload path: quantized-u16 wire bytes dequantized directly into the
+//!   scratch plane, exact f64 dispersion scan (bit-identical records to
+//!   decode-via-`ProbMap` + `banded`),
+//! * `fused_f32_tiled` — the same payload path with the f32 dispersion scan
+//!   over channel-major tiles.
 //!
 //! Writes `BENCH_extraction.json` at the repository root and prints a
 //! speedup line for CI. `--require-speedup X` exits non-zero unless the
-//! fused payload fast path (f32 scan, shipped default layout) sustains at
-//! least `X`× the serial f64 kernel's frames/s on the large scene —
-//! decode + extraction fused must beat extraction alone by that margin.
+//! fused payload fast path (f32 tiled scan) sustains at least `X`× the
+//! serial f64 kernel's frames/s on the large scene — decode + extraction
+//! fused must beat extraction alone by that margin.
 //! The gated ratio is measured by interleaving the two variants frame by
 //! frame (see [`interleaved_speedup`]) so machine-speed drift on shared
 //! runners cancels out of the comparison.
@@ -43,10 +43,9 @@
 //! ```
 
 use metaseg::pipeline::baseline::legacy_frame_metrics;
-use metaseg::pipeline::DEFAULT_F32_LAYOUT;
 use metaseg::{
-    frame_metrics_banded, frame_metrics_scratch, ExtractionScratch, F32ScanLayout, MetricsConfig,
-    SegmentRecord,
+    extract_frame, extract_frame_payload, frame_metrics, DispersionPrecision, ExtractionScratch,
+    MetricsConfig, SegmentRecord,
 };
 use metaseg_data::{Frame, FrameId, ProbEncoding, ProbPayload};
 use metaseg_sim::{NetworkProfile, NetworkSim, Scene, SceneConfig};
@@ -188,7 +187,8 @@ struct VariantReport {
     /// Largest heap bytes allocated by any single steady-state frame.
     peak_frame_bytes: u64,
     /// Scratch buffer growth during the steady-state loop (0 = the kernel's
-    /// zero-allocation steady state; legacy reports no scratch).
+    /// zero-allocation steady state; `legacy` has no scratch and `serial`'s
+    /// is thread-local, so both report none).
     scratch_reallocations: Option<u64>,
     /// Intra-frame bands used (1 = serial).
     bands: usize,
@@ -206,15 +206,13 @@ struct SceneReport {
     banded: VariantReport,
     /// Zero-copy u16-payload ingest, exact f64 scan.
     fused_f64: VariantReport,
-    /// Zero-copy u16-payload ingest, f32 scan, pixel-major layout.
-    fused_f32: VariantReport,
-    /// Zero-copy u16-payload ingest, f32 scan, channel-major SoA tiles.
+    /// Zero-copy u16-payload ingest, f32 scan over channel-major tiles.
     fused_f32_tiled: VariantReport,
     speedup_serial_vs_legacy: f64,
     speedup_banded_vs_legacy: f64,
-    /// The CI-gated ratio: fused payload fast path (f32 scan in the shipped
-    /// default layout, decode included) over the serial f64 kernel (decode
-    /// already done). Whole-serve-path throughput vs extraction alone,
+    /// The CI-gated ratio: fused payload fast path (f32 tiled scan, decode
+    /// included) over the serial f64 kernel (decode already done).
+    /// Whole-serve-path throughput vs extraction alone,
     /// measured by [`interleaved_speedup`] so machine-speed drift between
     /// the sequential per-variant loops cannot skew the gate.
     speedup_fused_vs_serial: f64,
@@ -308,6 +306,51 @@ fn variant(
     }
 }
 
+/// Measures the two decoded-frame variants: `serial` ([`frame_metrics`],
+/// one band over its thread-local scratch, so no scratch growth is
+/// reported) and `banded` ([`extract_frame`] over an owned scratch,
+/// `bands` = the count [`metaseg::pipeline::auto_band_count`] selects).
+fn measure_decoded(
+    frames: &[Frame],
+    measured: usize,
+    config: &MetricsConfig,
+    bands: usize,
+) -> (VariantReport, VariantReport) {
+    let distinct = frames.len();
+    let serial = variant(
+        measure(distinct, measured, |i| {
+            frame_metrics(
+                &frames[i].prediction,
+                frames[i].ground_truth.as_ref(),
+                config,
+            )
+        }),
+        None,
+        1,
+    );
+    let run = |scratch: &mut ExtractionScratch, i: usize| {
+        extract_frame(
+            &frames[i].prediction,
+            frames[i].ground_truth.as_ref(),
+            config,
+            scratch,
+        )
+        .1
+    };
+    let mut scratch = ExtractionScratch::new();
+    for i in 0..distinct {
+        black_box(run(&mut scratch, i));
+    }
+    let stats_before = scratch.stats();
+    let numbers = measure(distinct, measured, |i| run(&mut scratch, i));
+    let banded = variant(
+        numbers,
+        Some(scratch_growth(stats_before, scratch.stats())),
+        bands,
+    );
+    (serial, banded)
+}
+
 /// Measures one payload-ingest variant: warmup over every distinct payload,
 /// then the steady-state loop, reporting scratch growth like the decoded
 /// variants.
@@ -320,27 +363,27 @@ fn measure_payload(
     payloads: &[ProbPayload],
     measured: usize,
     config: &MetricsConfig,
-    layout: Option<F32ScanLayout>,
+    precision: DispersionPrecision,
     bands: usize,
 ) -> VariantReport {
     fn run(
         payloads: &[ProbPayload],
         config: &MetricsConfig,
-        layout: Option<F32ScanLayout>,
+        precision: DispersionPrecision,
         scratch: &mut ExtractionScratch,
         i: usize,
     ) -> Vec<SegmentRecord> {
-        metaseg::extract_frame_payload_layout(&payloads[i], None, config, scratch, layout)
+        extract_frame_payload(&payloads[i], None, config, scratch, precision)
             .expect("bench payloads are well-formed")
             .1
     }
     let mut scratch = ExtractionScratch::new();
     for i in 0..payloads.len() {
-        black_box(run(payloads, config, layout, &mut scratch, i));
+        black_box(run(payloads, config, precision, &mut scratch, i));
     }
     let stats_before = scratch.stats();
     let numbers = measure(payloads.len(), measured, |i| {
-        run(payloads, config, layout, &mut scratch, i)
+        run(payloads, config, precision, &mut scratch, i)
     });
     variant(
         numbers,
@@ -370,7 +413,6 @@ fn interleaved_speedup(
     config: &MetricsConfig,
 ) -> f64 {
     let distinct = frames.len();
-    let mut serial_scratch = ExtractionScratch::new();
     let mut fused_scratch = ExtractionScratch::new();
     // One warmup round (round 0), then `measured` timed frames per variant.
     let mut serial_laps = Vec::new();
@@ -378,24 +420,22 @@ fn interleaved_speedup(
     for round in 0..measured.div_ceil(distinct) + 1 {
         let started = Instant::now();
         for i in 0..distinct {
-            black_box(frame_metrics_banded(
+            black_box(frame_metrics(
                 &frames[i].prediction,
                 frames[i].ground_truth.as_ref(),
                 config,
-                &mut serial_scratch,
-                1,
             ));
         }
         let serial_lap = started.elapsed().as_secs_f64();
         let started = Instant::now();
         for i in 0..distinct {
             black_box(
-                metaseg::extract_frame_payload_layout(
+                extract_frame_payload(
                     &payloads[i],
                     None,
                     config,
                     &mut fused_scratch,
-                    Some(DEFAULT_F32_LAYOUT),
+                    DispersionPrecision::F32,
                 )
                 .expect("bench payloads are well-formed"),
             );
@@ -448,69 +488,19 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         1,
     );
 
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        )
-    });
-    let serial = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        1,
-    );
-
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        )
-    });
-    let banded = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        auto_bands,
-    );
-
-    let fused_f64 = measure_payload(&payloads, measured, &config, None, auto_bands);
-    let fused_f32 = measure_payload(
+    let (serial, banded) = measure_decoded(&frames, measured, &config, auto_bands);
+    let fused_f64 = measure_payload(
         &payloads,
         measured,
         &config,
-        Some(F32ScanLayout::PixelMajor),
+        DispersionPrecision::F64,
         auto_bands,
     );
     let fused_f32_tiled = measure_payload(
         &payloads,
         measured,
         &config,
-        Some(F32ScanLayout::Tiled),
+        DispersionPrecision::F32,
         auto_bands,
     );
 
@@ -527,13 +517,12 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         serial,
         banded,
         fused_f64,
-        fused_f32,
         fused_f32_tiled,
     };
     println!(
         "{name} ({}x{}): legacy {:.1} frames/s, serial {:.1} ({:.0} allocs/frame), \
          banded x{} {:.1} ({:.0} allocs/frame), fused-f64 {:.1}, \
-         fused-f32 {:.1}, fused-f32-tiled {:.1} — fused/serial {:.2}x",
+         fused-f32-tiled {:.1} — fused/serial {:.2}x",
         report.width,
         report.height,
         report.legacy.frames_per_s,
@@ -543,7 +532,6 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         report.banded.frames_per_s,
         report.banded.allocs_per_frame,
         report.fused_f64.frames_per_s,
-        report.fused_f32.frames_per_s,
         report.fused_f32_tiled.frames_per_s,
         report.speedup_fused_vs_serial,
     );
@@ -570,7 +558,6 @@ struct CorpusProfileReport {
     serial: VariantReport,
     banded: VariantReport,
     fused_f64: VariantReport,
-    fused_f32: VariantReport,
     fused_f32_tiled: VariantReport,
     speedup_fused_vs_serial: f64,
 }
@@ -630,69 +617,19 @@ fn profile_corpus(options: &Options) -> CorpusProfileReport {
     let config = MetricsConfig::default();
     let auto_bands = metaseg::pipeline::auto_band_count(width * height, height);
 
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_banded(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-            1,
-        )
-    });
-    let serial = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        1,
-    );
-
-    let mut scratch = ExtractionScratch::new();
-    for i in 0..distinct {
-        black_box(frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        ));
-    }
-    let stats_before = scratch.stats();
-    let numbers = measure(distinct, measured, |i| {
-        frame_metrics_scratch(
-            &frames[i].prediction,
-            frames[i].ground_truth.as_ref(),
-            &config,
-            &mut scratch,
-        )
-    });
-    let banded = variant(
-        numbers,
-        Some(scratch_growth(stats_before, scratch.stats())),
-        auto_bands,
-    );
-
-    let fused_f64 = measure_payload(&payloads, measured, &config, None, auto_bands);
-    let fused_f32 = measure_payload(
+    let (serial, banded) = measure_decoded(&frames, measured, &config, auto_bands);
+    let fused_f64 = measure_payload(
         &payloads,
         measured,
         &config,
-        Some(F32ScanLayout::PixelMajor),
+        DispersionPrecision::F64,
         auto_bands,
     );
     let fused_f32_tiled = measure_payload(
         &payloads,
         measured,
         &config,
-        Some(F32ScanLayout::Tiled),
+        DispersionPrecision::F32,
         auto_bands,
     );
 
@@ -710,12 +647,11 @@ fn profile_corpus(options: &Options) -> CorpusProfileReport {
         serial,
         banded,
         fused_f64,
-        fused_f32,
         fused_f32_tiled,
     };
     println!(
         "corpus ({}x{}, {} frames): serial {:.1} frames/s, banded x{} {:.1}, \
-         fused-f64 {:.1}, fused-f32 {:.1}, fused-f32-tiled {:.1} — fused/serial {:.2}x",
+         fused-f64 {:.1}, fused-f32-tiled {:.1} — fused/serial {:.2}x",
         report.width,
         report.height,
         report.distinct_frames,
@@ -723,7 +659,6 @@ fn profile_corpus(options: &Options) -> CorpusProfileReport {
         report.banded.bands,
         report.banded.frames_per_s,
         report.fused_f64.frames_per_s,
-        report.fused_f32.frames_per_s,
         report.fused_f32_tiled.frames_per_s,
         report.speedup_fused_vs_serial,
     );
@@ -772,17 +707,10 @@ fn main() {
 
     let speedup = large_report.speedup_fused_vs_serial;
     println!(
-        "comparison: serial f64 {:.1} frames/s vs fused payload f32 ({}) {:.1} frames/s on the \
-         large scene ({speedup:.2}x; banded x{} {:.1} frames/s, {:.2}x vs legacy)",
+        "comparison: serial f64 {:.1} frames/s vs fused payload f32 (tiled) {:.1} frames/s on \
+         the large scene ({speedup:.2}x; banded x{} {:.1} frames/s, {:.2}x vs legacy)",
         large_report.serial.frames_per_s,
-        match DEFAULT_F32_LAYOUT {
-            F32ScanLayout::PixelMajor => "pixel-major",
-            F32ScanLayout::Tiled => "tiled",
-        },
-        match DEFAULT_F32_LAYOUT {
-            F32ScanLayout::PixelMajor => large_report.fused_f32.frames_per_s,
-            F32ScanLayout::Tiled => large_report.fused_f32_tiled.frames_per_s,
-        },
+        large_report.fused_f32_tiled.frames_per_s,
         large_report.banded.bands,
         large_report.banded.frames_per_s,
         large_report.speedup_banded_vs_legacy,

@@ -73,10 +73,8 @@ pub use compositions::Composition;
 pub use error::MetaSegError;
 pub use metrics::{segment_metrics, FeatureSet, MetricsConfig, SegmentRecord};
 pub use pipeline::{
-    extract_frame, extract_frame_payload, extract_frame_payload_layout, frame_metrics,
-    frame_metrics_banded, frame_metrics_payload, frame_metrics_scratch,
-    frame_metrics_with_components, frame_metrics_with_labels, worker_threads, DispersionPrecision,
-    ExtractionScratch, F32ScanLayout, FrameBatch, ScratchStats,
+    extract_frame, extract_frame_payload, frame_metrics, worker_threads, DispersionPrecision,
+    ExtractionScratch, FrameBatch, ScratchStats,
 };
 pub use stream::{
     process_videos, shard_streams, FrameVerdicts, MetaSegStream, SegmentVerdict, StreamConfig,

@@ -61,22 +61,32 @@
 //! [`FrameBatch`] parallelises *across frames* with `rayon` (frames are
 //! embarrassingly parallel); the band split above parallelises *within* a
 //! frame, which is what gives single-camera streaming multi-core scaling.
-//! The two layers never stack: the implicit thread-local entry points (what
-//! the frame-level fan-outs call) are always serial, while the
-//! explicit-scratch entry points use [`auto_band_count`] — a pure function
-//! of frame shape and machine, never of load or calling context, so a
-//! frame's exact float output is reproducible run over run. Across machines
-//! with different core counts, banded large-frame results may differ in the
-//! last bits (within the pinned `1e-12`); sub-threshold frames are
-//! bit-stable everywhere.
+//! Three entry points run the one kernel:
+//!
+//! * [`frame_metrics`] borrows a thread-local scratch and is **always
+//!   serial** — it is what [`FrameBatch`], `segment_metrics` and the batch
+//!   time-dynamic analysis fan out per frame, so the two layers never stack
+//!   there;
+//! * [`extract_frame`] (a [`ProbMap`] plus an owned scratch — what
+//!   `MetaSegStream::push_frame` calls) and [`extract_frame_payload`] (a
+//!   wire payload — what `MetaSegStream::push_payload` calls) band by
+//!   [`auto_band_count`]. `process_videos` and the serve micro-batch
+//!   dispatch reach these through the stream, so a large frame there bands
+//!   on top of the frame-level fan-out.
+//!
+//! The band count is a pure function of frame shape and machine, never of
+//! load or calling context, so a frame's exact float output is reproducible
+//! run over run. Across machines with different core counts, banded
+//! large-frame results may differ in the last bits (within the pinned
+//! `1e-12`); sub-threshold frames are bit-stable everywhere.
 
 pub mod baseline;
 pub mod reference;
 
 use crate::metrics::{MetricsConfig, SegmentRecord, BASE_METRIC_COUNT, METRIC_COUNT, NUM_CHANNELS};
 use metaseg_data::{
-    fast_ln_positive_f32, DataError, DistributionScan, DistributionScanF32, Frame, LabelMap,
-    ProbMap, ProbPayload, SemanticClass,
+    fast_ln_positive_f32, DataError, DistributionScan, Frame, LabelMap, ProbMap, ProbPayload,
+    SemanticClass,
 };
 use metaseg_imgproc::{ComponentLabels, Grid, Labeler};
 use rayon::prelude::*;
@@ -238,7 +248,7 @@ struct KernelScratch {
     gt_labeler: Labeler,
     /// Per-band fold state.
     bands: Vec<BandState>,
-    /// Per-band channel-major tiles of the f32 tiled scan layout.
+    /// Per-band channel-major tiles of the f32 tiled scan.
     tiles: Vec<Vec<f32>>,
     /// Merged, sorted, aggregated overlap runs.
     merged_runs: Vec<OverlapRun>,
@@ -349,28 +359,28 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<ExtractionScratch> = RefCell::new(ExtractionScratch::new());
 }
 
-/// Band count the explicit-scratch entry points select for a frame of
-/// `pixels` pixels spread over `rows` rows: `pixels / MIN_BAND_PIXELS`,
-/// capped by the machine's worker-thread count, [`MAX_BANDS`] and the row
-/// count, floored at 1 (serial).
+/// Band count [`extract_frame`] and [`extract_frame_payload`] select for a
+/// frame of `pixels` pixels spread over `rows` rows: `pixels /
+/// MIN_BAND_PIXELS`, capped by the machine's worker-thread count,
+/// [`MAX_BANDS`] and the row count, floored at 1 (serial).
 ///
 /// The count is a pure function of the frame shape and the machine — it
 /// deliberately ignores momentary load and calling context, so a frame's
 /// band split (and thus its exact float output) never depends on what else
-/// the process happens to be doing. Two caller classes exist:
+/// the process happens to be doing. Per entry point:
 ///
-/// * the implicit thread-local entry points ([`frame_metrics`],
-///   [`frame_metrics_with_labels`], [`frame_metrics_with_components`]) are
-///   **always serial**: they are what the frame-level rayon fan-outs
-///   ([`FrameBatch`], `process_videos`, the serve micro-batch dispatch) call,
-///   where the cores are already taken and a second thread layer would only
-///   oversubscribe them — and serial output is bit-stable everywhere;
-/// * the explicit-scratch entry points ([`frame_metrics_scratch`],
-///   [`extract_frame`] — i.e. one streaming session driving one camera) use
-///   this count and gain intra-frame multi-core scaling. A deployment
-///   running many such sessions concurrently oversubscribes by at most
-///   `min(threads, MAX_BANDS)` bands each, a documented throughput
-///   trade-off that never changes any output bit.
+/// * [`frame_metrics`] never bands: it is what [`FrameBatch`] fans out per
+///   frame, where the cores are already taken and a second thread layer
+///   would only oversubscribe them — and serial output is bit-stable
+///   everywhere;
+/// * [`extract_frame`] and [`extract_frame_payload`] use this count. They
+///   are what every `MetaSegStream` push calls, so one session driving one
+///   camera gains intra-frame multi-core scaling — and so do
+///   `process_videos` and the serve micro-batch dispatch, which fan out
+///   sessions. Running many sessions concurrently oversubscribes by at
+///   most `min(threads, MAX_BANDS)` bands each, a throughput trade-off that
+///   never changes any output bit. No `servebench` workload bands: its
+///   largest frame (`hires`, 192×96) is under `2 * MIN_BAND_PIXELS`.
 ///
 /// Public so the `extraction_profile` bench reports the exact count the
 /// kernel will use.
@@ -408,81 +418,45 @@ pub fn worker_threads() -> usize {
 /// Drop-in replacement for the naive formulation (and what
 /// [`crate::metrics::segment_metrics`] delegates to): same records, same
 /// order, same semantics. Callers that own a frame loop should prefer
-/// [`frame_metrics_scratch`] (or [`extract_frame`] when they also need the
-/// components) with an explicitly owned scratch.
+/// [`extract_frame`] with an explicitly owned scratch.
 ///
 /// The thread-local scratch grows to the largest frame a thread has ever
 /// extracted and is retained for the thread's lifetime (that is what makes
 /// the steady state allocation-free). Memory-constrained batch jobs over
-/// very large frames should call [`frame_metrics_scratch`] with an owned
-/// scratch they can drop afterwards.
+/// very large frames should call [`extract_frame`] with an owned scratch
+/// they can drop afterwards.
+///
+/// # Panics
+///
+/// Panics when a segment's argmax channel is not a [`SemanticClass`] id,
+/// which only a prediction with more channels than `SemanticClass::ALL` can
+/// produce.
 pub fn frame_metrics(
     prediction: &ProbMap,
     ground_truth: Option<&LabelMap>,
     config: &MetricsConfig,
 ) -> Vec<SegmentRecord> {
     THREAD_SCRATCH.with(|scratch| {
-        frame_metrics_banded(
-            prediction,
+        run_kernel(
+            FrameView::of(prediction),
             ground_truth,
             config,
-            &mut scratch.borrow_mut(),
+            &mut scratch.borrow_mut().kernel,
             1,
         )
+        .1
     })
 }
 
-/// [`frame_metrics`] with an explicit reusable scratch and automatic band
-/// selection ([`auto_band_count`]) — the entry point for a caller that owns
-/// a frame loop, e.g. one streaming session.
-pub fn frame_metrics_scratch(
-    prediction: &ProbMap,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &mut ExtractionScratch,
-) -> Vec<SegmentRecord> {
-    let (width, height) = prediction.shape();
-    let bands = auto_band_count(width * height, height);
-    run_kernel(
-        FrameView::of(prediction),
-        IdsSource::Fused,
-        ground_truth,
-        config,
-        &mut scratch.kernel,
-        bands,
-        ScanMode::PixelMajor,
-    )
-    .1
-}
-
-/// [`frame_metrics_scratch`] with a forced band count — the testing and
-/// benchmarking hook behind the band-invariance property test and the
-/// `extraction_profile` serial/banded comparison. `bands` is clamped to the
-/// frame's row count; `1` forces the serial path.
-pub fn frame_metrics_banded(
-    prediction: &ProbMap,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &mut ExtractionScratch,
-    bands: usize,
-) -> Vec<SegmentRecord> {
-    let bands = bands.clamp(1, prediction.height());
-    run_kernel(
-        FrameView::of(prediction),
-        IdsSource::Fused,
-        ground_truth,
-        config,
-        &mut scratch.kernel,
-        bands,
-        ScanMode::PixelMajor,
-    )
-    .1
-}
-
-/// Full fused extraction that also exposes the frame's connected components
-/// (borrowed from the scratch's labeler) — the streaming engine's entry
-/// point, which shares one labelling per frame between metric extraction and
-/// the incremental tracker.
+/// Full fused extraction with an owned reusable scratch and automatic band
+/// selection ([`auto_band_count`]) that also exposes the frame's connected
+/// components (borrowed from the scratch's labeler) — the streaming engine's
+/// entry point, which shares one labelling per frame between metric
+/// extraction and the incremental tracker.
+///
+/// # Panics
+///
+/// Same as [`frame_metrics`].
 pub fn extract_frame<'s>(
     prediction: &ProbMap,
     ground_truth: Option<&LabelMap>,
@@ -493,12 +467,10 @@ pub fn extract_frame<'s>(
     let bands = auto_band_count(width * height, height);
     run_kernel(
         FrameView::of(prediction),
-        IdsSource::Fused,
         ground_truth,
         config,
         &mut scratch.kernel,
         bands,
-        ScanMode::PixelMajor,
     )
 }
 
@@ -510,14 +482,16 @@ pub fn extract_frame<'s>(
 /// fused kernel runs over that plane. With [`DispersionPrecision::F64`] the
 /// records are **bit-identical** to decoding the payload into a `ProbMap`
 /// first and calling [`extract_frame`] (pinned by a property test); with
-/// [`DispersionPrecision::F32`] the scan takes the single-precision fast
-/// path (layout: [`DEFAULT_F32_LAYOUT`]).
+/// [`DispersionPrecision::F32`] the scan takes the single-precision tiled
+/// fast path.
 ///
 /// # Errors
 ///
 /// Returns the typed [`DataError`]s of [`ProbPayload::decode`] when the
-/// declared shape is inconsistent with the byte length; the scratch is left
-/// reusable.
+/// declared shape is inconsistent with the byte length, and
+/// [`DataError::InvalidPayloadShape`] when the payload has more channels
+/// than `SemanticClass::ALL` (the epilogue could not name the class of a
+/// segment whose argmax lies beyond it); the scratch is left reusable.
 pub fn extract_frame_payload<'s>(
     payload: &ProbPayload,
     ground_truth: Option<&LabelMap>,
@@ -525,173 +499,33 @@ pub fn extract_frame_payload<'s>(
     scratch: &'s mut ExtractionScratch,
     precision: DispersionPrecision,
 ) -> Result<(&'s ComponentLabels, Vec<SegmentRecord>), DataError> {
-    let layout = match precision {
-        DispersionPrecision::F64 => None,
-        DispersionPrecision::F32 => Some(DEFAULT_F32_LAYOUT),
-    };
-    extract_frame_payload_layout(payload, ground_truth, config, scratch, layout)
-}
-
-/// [`extract_frame_payload`] with an explicit f32 scan layout (`None` forces
-/// the exact f64 path) — the benchmarking and testing hook behind the
-/// `extraction_profile` layout comparison and the layout-equivalence test.
-///
-/// # Errors
-///
-/// Same as [`extract_frame_payload`].
-pub fn extract_frame_payload_layout<'s>(
-    payload: &ProbPayload,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &'s mut ExtractionScratch,
-    layout: Option<F32ScanLayout>,
-) -> Result<(&'s ComponentLabels, Vec<SegmentRecord>), DataError> {
+    if payload.channels > SemanticClass::ALL.len() {
+        return Err(DataError::InvalidPayloadShape {
+            width: payload.width,
+            height: payload.height,
+            channels: payload.channels,
+        });
+    }
     let bands = auto_band_count(payload.width * payload.height, payload.height);
     let ExtractionScratch { ingest, kernel } = scratch;
-    match layout {
-        None => {
-            payload.decode_values_into(&mut ingest.decoded_f64)?;
-            let view = FrameView {
-                width: payload.width,
-                height: payload.height,
-                channels: payload.channels,
-                values: ingest.decoded_f64.as_slice(),
-            };
-            Ok(run_kernel(
-                view,
-                IdsSource::Fused,
-                ground_truth,
-                config,
-                kernel,
-                bands,
-                ScanMode::PixelMajor,
-            ))
-        }
-        Some(layout) => {
-            let mode = match layout {
-                F32ScanLayout::PixelMajor => ScanMode::PixelMajor,
-                F32ScanLayout::Tiled => ScanMode::Tiled,
-            };
-            // Quantized payloads are scanned *in place*: the kernel reads
-            // the little-endian byte pairs straight out of the wire buffer,
-            // dequantizing in-register at the point of use (scan gather and
-            // fold widening), so the densest wire encoding never
-            // materialises a decoded plane of any width. The floats
-            // produced are bit-identical to dequantizing into an `f32`
-            // plane first (same formula per value, pinned by test).
-            if let Some(pairs) = payload.quantized_pairs()? {
-                let view = FrameView {
-                    width: payload.width,
-                    height: payload.height,
-                    channels: payload.channels,
-                    values: pairs,
-                };
-                return Ok(run_kernel(
-                    view,
-                    IdsSource::Fused,
-                    ground_truth,
-                    config,
-                    kernel,
-                    bands,
-                    mode,
-                ));
-            }
-            payload.decode_values_into_f32(&mut ingest.decoded_f32)?;
-            let view = FrameView {
-                width: payload.width,
-                height: payload.height,
-                channels: payload.channels,
-                values: ingest.decoded_f32.as_slice(),
-            };
-            Ok(run_kernel(
-                view,
-                IdsSource::Fused,
-                ground_truth,
-                config,
-                kernel,
-                bands,
-                mode,
-            ))
-        }
+    if precision == DispersionPrecision::F64 {
+        payload.decode_values_into(&mut ingest.decoded_f64)?;
+        let view = FrameView::of_payload(payload, ingest.decoded_f64.as_slice());
+        return Ok(run_kernel(view, ground_truth, config, kernel, bands));
     }
-}
-
-/// [`frame_metrics`] over a wire payload: the record-only form of
-/// [`extract_frame_payload`].
-///
-/// # Errors
-///
-/// Same as [`extract_frame_payload`].
-pub fn frame_metrics_payload(
-    payload: &ProbPayload,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-    scratch: &mut ExtractionScratch,
-    precision: DispersionPrecision,
-) -> Result<Vec<SegmentRecord>, DataError> {
-    extract_frame_payload(payload, ground_truth, config, scratch, precision)
-        .map(|(_, records)| records)
-}
-
-/// [`frame_metrics`] with a caller-supplied Bayes label map of `prediction`.
-///
-/// For callers that already need the argmax map for other work (e.g. the
-/// batch time-dynamic pipeline hands it to the segment tracker), this skips
-/// the fused scan's argmax plane and labels the caller's map instead; the
-/// dispersion planes and the banded fold are identical.
-pub fn frame_metrics_with_labels(
-    prediction: &ProbMap,
-    predicted_labels: &LabelMap,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-) -> Vec<SegmentRecord> {
-    THREAD_SCRATCH.with(|scratch| {
-        run_kernel(
-            FrameView::of(prediction),
-            IdsSource::Ids(predicted_labels.ids()),
-            ground_truth,
-            config,
-            &mut scratch.borrow_mut().kernel,
-            1,
-            ScanMode::PixelMajor,
-        )
-        .1
-    })
-}
-
-/// [`frame_metrics_with_labels`] with caller-supplied connected components
-/// of the Bayes label map.
-///
-/// `components` must come from the same label map and connectivity as
-/// `config.connectivity`.
-pub fn frame_metrics_with_components(
-    prediction: &ProbMap,
-    components: &ComponentLabels,
-    ground_truth: Option<&LabelMap>,
-    config: &MetricsConfig,
-) -> Vec<SegmentRecord> {
-    THREAD_SCRATCH.with(|scratch| {
-        run_kernel(
-            FrameView::of(prediction),
-            IdsSource::Components(components),
-            ground_truth,
-            config,
-            &mut scratch.borrow_mut().kernel,
-            1,
-            ScanMode::PixelMajor,
-        )
-        .1
-    })
-}
-
-/// Where the kernel gets the Bayes labelling from.
-enum IdsSource<'a> {
-    /// Compute the argmax plane in the fused scan and label it.
-    Fused,
-    /// Label a caller-supplied class-id grid.
-    Ids(&'a Grid<u16>),
-    /// Use caller-supplied components as-is.
-    Components(&'a ComponentLabels),
+    // Quantized payloads are scanned *in place*: the kernel reads the
+    // little-endian byte pairs straight out of the wire buffer, dequantizing
+    // in-register at the point of use (scan gather and fold widening), so
+    // the densest wire encoding never materialises a decoded plane of any
+    // width. The floats produced are bit-identical to dequantizing into an
+    // `f32` plane first (same formula per value, pinned by test).
+    if let Some(pairs) = payload.quantized_pairs()? {
+        let view = FrameView::of_payload(payload, pairs);
+        return Ok(run_kernel(view, ground_truth, config, kernel, bands));
+    }
+    payload.decode_values_into_f32(&mut ingest.decoded_f32)?;
+    let view = FrameView::of_payload(payload, ingest.decoded_f32.as_slice());
+    Ok(run_kernel(view, ground_truth, config, kernel, bands))
 }
 
 /// Numeric precision of the per-pixel dispersion scan.
@@ -740,46 +574,13 @@ impl std::fmt::Display for DispersionPrecision {
     }
 }
 
-/// Memory layout the f32 fused scan iterates in.
-///
-/// Both layouts produce identical floats (pinned by a test) — they differ
-/// only in how the channel axis reaches the vector units, so the
-/// `extraction_profile` bench measures both and the default
-/// ([`DEFAULT_F32_LAYOUT`]) is whichever wins on the bench scenes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum F32ScanLayout {
-    /// Scan each pixel's contiguous channel vector in place (the storage
-    /// order of the wire payload).
-    PixelMajor,
-    /// Transpose [`TILE_LANES`] pixels at a time into a channel-major
-    /// scratch tile, then run every compute loop over contiguous
-    /// fixed-width lane arrays.
-    Tiled,
-}
-
-/// Pixels per channel-major tile of [`F32ScanLayout::Tiled`]: 256 lanes ×
-/// 19 channels × 4 bytes ≈ 19 KiB, which together with the four 1 KiB lane
-/// accumulators still fits L1 while amortising the per-tile fixed costs
-/// (accumulator reset and plane writeback) over four times the pixels of
-/// the original 64-lane tile — worth ~7% whole-kernel throughput on the
-/// large bench scene. 512 lanes spills L1 and plateaus.
+/// Pixels per channel-major tile of the f32 scan: 256 lanes × 19 channels ×
+/// 4 bytes ≈ 19 KiB, which together with the four 1 KiB lane accumulators
+/// still fits L1 while amortising the per-tile fixed costs (accumulator
+/// reset and plane writeback) over four times the pixels of the original
+/// 64-lane tile — worth ~7% whole-kernel throughput on the large bench
+/// scene. 512 lanes spills L1 and plateaus.
 pub const TILE_LANES: usize = 256;
-
-/// The f32 scan layout [`DispersionPrecision::F32`] dispatches to — the
-/// winner of the `extraction_profile` layout comparison on the bench scenes
-/// (the channel-major tile beats the pixel-major walk by ~1.5x on the large
-/// scene: its fixed-width lane loops are the shape the autovectoriser
-/// actually vectorises).
-pub const DEFAULT_F32_LAYOUT: F32ScanLayout = F32ScanLayout::Tiled;
-
-/// How the scan stage walks the decoded values; only the f32 kernel
-/// distinguishes the two (the f64 scan is pinned to the historical
-/// pixel-major loop for bit-identity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanMode {
-    PixelMajor,
-    Tiled,
-}
 
 /// A borrowed frame of decoded softmax values in pixel-major storage order
 /// (`values[(y * width + x) * channels + c]`) — what the kernel actually
@@ -806,18 +607,28 @@ impl<'a> FrameView<'a, f64> {
     }
 }
 
+impl<'a, V> FrameView<'a, V> {
+    /// Views decoded values in the shape a wire payload declares.
+    fn of_payload(payload: &ProbPayload, values: &'a [V]) -> Self {
+        Self {
+            width: payload.width,
+            height: payload.height,
+            channels: payload.channels,
+            values,
+        }
+    }
+}
+
 /// One band's slices of the dispersion planes, split off for the scan stage.
 struct ScanPart<'p, P> {
     /// Flat pixel index of the band's first pixel.
     offset: usize,
-    /// How the f32 scan walks the values (ignored by the f64 scan).
-    mode: ScanMode,
     entropy: &'p mut [P],
     margin: &'p mut [P],
     variation: &'p mut [P],
     top1: &'p mut [P],
     argmax: &'p mut [u16],
-    /// Channel-major scratch tile (used by the f32 tiled layout only).
+    /// Channel-major scratch tile (used by the f32 tiled scan only).
     tile: &'p mut Vec<f32>,
 }
 
@@ -826,9 +637,9 @@ struct ScanPart<'p, P> {
 /// Three implementations exist: `f64`, whose scan is the verbatim
 /// historical loop over [`DistributionScan`] (bit-identical to
 /// [`baseline::legacy_frame_metrics`], pinned by test); `f32`, the
-/// branch-free fast path; and `[u8; 2]`, the little-endian byte pair of one
-/// quantized wire value scanned in place, which runs the same f32 fast path
-/// but dequantizes at the point of use ([`dequant_u16`] is the `f32`
+/// branch-free tiled fast path; and `[u8; 2]`, the little-endian byte pair
+/// of one quantized wire value scanned in place, which runs the same tiled
+/// scan but dequantizes at the point of use ([`dequant_u16`] is the `f32`
 /// dequantization formula of [`ProbPayload::decode_values_into_f32`], so
 /// the two routes produce identical floats). Everything after the scan
 /// (labelling, fold, epilogue) accumulates in `f64` for all three.
@@ -840,13 +651,8 @@ trait ProbValue: Copy + Send + Sync {
         planes: &'a mut MetricPlanes<f64>,
         planes32: &'a mut MetricPlanes<f32>,
     ) -> &'a mut MetricPlanes<Self::Plane>;
-    /// Scans one band's pixels into its dispersion-plane slices.
-    fn scan_band(
-        values: &[Self],
-        channels: usize,
-        part: &mut ScanPart<'_, Self::Plane>,
-        wants_argmax: bool,
-    );
+    /// Scans one band's pixels into its dispersion-plane and argmax slices.
+    fn scan_band(values: &[Self], channels: usize, part: &mut ScanPart<'_, Self::Plane>);
     /// The `f32` probability the tiled gather moves into its lane column.
     fn to_f32(self) -> f32;
     /// Widens one probability for the f64 class-probability accumulation.
@@ -877,12 +683,7 @@ impl ProbValue for f64 {
     }
 
     #[inline]
-    fn scan_band(
-        values: &[f64],
-        channels: usize,
-        part: &mut ScanPart<'_, f64>,
-        wants_argmax: bool,
-    ) {
+    fn scan_band(values: &[f64], channels: usize, part: &mut ScanPart<'_, f64>) {
         let start = part.offset;
         for i in 0..part.entropy.len() {
             let dist = &values[(start + i) * channels..(start + i + 1) * channels];
@@ -891,16 +692,14 @@ impl ProbValue for f64 {
             part.margin[i] = scan.margin();
             part.variation[i] = scan.variation_ratio();
             part.top1[i] = scan.top1;
-            if wants_argmax {
-                part.argmax[i] = scan.argmax as u16;
-            }
+            part.argmax[i] = scan.argmax as u16;
         }
     }
 
     #[inline]
     fn to_f32(self) -> f32 {
-        // The f64 path never runs the tiled layout (its scan is pinned to
-        // the historical pixel-major loop); honest narrowing regardless.
+        // The f64 path never runs the tiled scan (its scan is pinned to the
+        // historical pixel-major loop); honest narrowing regardless.
         self as f32
     }
 
@@ -926,28 +725,8 @@ impl ProbValue for f32 {
     }
 
     #[inline]
-    fn scan_band(
-        values: &[f32],
-        channels: usize,
-        part: &mut ScanPart<'_, f32>,
-        wants_argmax: bool,
-    ) {
-        if part.mode == ScanMode::Tiled {
-            return scan_band_tiled(values, channels, part, wants_argmax);
-        }
-        let inv_ln_n = 1.0 / (channels as f32).ln();
-        let start = part.offset;
-        for i in 0..part.entropy.len() {
-            let dist = &values[(start + i) * channels..(start + i + 1) * channels];
-            let scan = DistributionScanF32::of(dist);
-            part.entropy[i] = (scan.raw_entropy * inv_ln_n).clamp(0.0, 1.0);
-            part.margin[i] = scan.margin();
-            part.variation[i] = scan.variation_ratio();
-            part.top1[i] = scan.top1;
-            if wants_argmax {
-                part.argmax[i] = scan.argmax as u16;
-            }
-        }
+    fn scan_band(values: &[f32], channels: usize, part: &mut ScanPart<'_, f32>) {
+        scan_band_tiled(values, channels, part)
     }
 
     #[inline]
@@ -984,45 +763,8 @@ impl ProbValue for [u8; 2] {
     }
 
     #[inline]
-    fn scan_band(
-        values: &[[u8; 2]],
-        channels: usize,
-        part: &mut ScanPart<'_, f32>,
-        wants_argmax: bool,
-    ) {
-        if part.mode == ScanMode::Tiled {
-            return scan_band_tiled(values, channels, part, wants_argmax);
-        }
-        let inv_ln_n = 1.0 / (channels as f32).ln();
-        let start = part.offset;
-        let ScanPart {
-            entropy,
-            margin,
-            variation,
-            top1,
-            argmax,
-            tile,
-            ..
-        } = part;
-        // The tile doubles as the per-pixel dequantization staging slot —
-        // pixel-major keeps only one channel vector live at a time.
-        if tile.len() < channels {
-            tile.resize(channels, 0.0);
-        }
-        for i in 0..entropy.len() {
-            let dist = &values[(start + i) * channels..(start + i + 1) * channels];
-            for (d, &pair) in tile[..channels].iter_mut().zip(dist) {
-                *d = pair.to_f32();
-            }
-            let scan = DistributionScanF32::of(&tile[..channels]);
-            entropy[i] = (scan.raw_entropy * inv_ln_n).clamp(0.0, 1.0);
-            margin[i] = scan.margin();
-            variation[i] = scan.variation_ratio();
-            top1[i] = scan.top1;
-            if wants_argmax {
-                argmax[i] = scan.argmax as u16;
-            }
-        }
+    fn scan_band(values: &[[u8; 2]], channels: usize, part: &mut ScanPart<'_, f32>) {
+        scan_band_tiled(values, channels, part)
     }
 
     #[inline]
@@ -1046,16 +788,12 @@ impl ProbValue for [u8; 2] {
 /// [`ProbValue::to_f32`] as it moves it into its lane column (the identity
 /// for `f32` planes; the in-register dequantization for wire byte pairs),
 /// so the tile handed to the compute is bit-identical whichever source fed
-/// it. Produces exactly the same floats as the pixel-major f32 scan: per
-/// lane it performs the identical operation sequence along the channel
-/// axis, only interleaved across lanes (pinned by
-/// `f32_scan_layouts_agree_bit_exactly`).
-fn scan_band_tiled<V: ProbValue>(
-    values: &[V],
-    channels: usize,
-    part: &mut ScanPart<'_, V::Plane>,
-    wants_argmax: bool,
-) {
+/// it. Per lane it performs the operation sequence of
+/// [`metaseg_data::DistributionScanF32::of`] along the channel axis, only
+/// interleaved across lanes, so every plane float and argmax equals that
+/// scan's on the same pixel (pinned by
+/// `tiled_scan_matches_distribution_scan_f32_per_pixel`).
+fn scan_band_tiled<V: ProbValue>(values: &[V], channels: usize, part: &mut ScanPart<'_, V::Plane>) {
     let inv_ln_n = 1.0 / (channels as f32).ln();
     let ScanPart {
         offset,
@@ -1065,7 +803,6 @@ fn scan_band_tiled<V: ProbValue>(
         top1,
         argmax,
         tile,
-        ..
     } = part;
     let offset = *offset;
     if tile.len() < TILE_LANES * channels {
@@ -1084,17 +821,7 @@ fn scan_band_tiled<V: ProbValue>(
             }
         }
         scan_tile_lanes(
-            tile,
-            channels,
-            lanes,
-            base,
-            inv_ln_n,
-            wants_argmax,
-            entropy,
-            margin,
-            variation,
-            top1,
-            argmax,
+            tile, channels, lanes, base, inv_ln_n, entropy, margin, variation, top1, argmax,
         );
         base += lanes;
     }
@@ -1112,7 +839,6 @@ fn scan_tile_lanes<P: PlaneValue>(
     lanes: usize,
     base: usize,
     inv_ln_n: f32,
-    wants_argmax: bool,
     entropy_out: &mut [P],
     margin_out: &mut [P],
     variation_out: &mut [P],
@@ -1128,8 +854,8 @@ fn scan_tile_lanes<P: PlaneValue>(
         for (lane, &p) in row.iter().enumerate() {
             // The same compare-and-select dropout sanitiser as
             // `DistributionScanF32::of`, applied at the same point of the
-            // operation sequence — what keeps the tiled layout bit-identical
-            // to the pixel-major scan on NaN-striped dropout frames too.
+            // operation sequence — what keeps the tiled scan bit-identical
+            // to that per-pixel reference on NaN-striped dropout frames too.
             let p = if p.is_finite() { p } else { 0.0 };
             entropy[lane] -= p * fast_ln_positive_f32(p);
             let prev = first[lane];
@@ -1151,9 +877,7 @@ fn scan_tile_lanes<P: PlaneValue>(
         margin_out[i] = P::from_scan_f32((1.0 - (first[lane] - second[lane])).clamp(0.0, 1.0));
         variation_out[i] = P::from_scan_f32((1.0 - first[lane]).clamp(0.0, 1.0));
         top1_out[i] = P::from_scan_f32(first[lane]);
-        if wants_argmax {
-            argmax_out[i] = argmax[lane];
-        }
+        argmax_out[i] = argmax[lane];
     }
 }
 
@@ -1169,12 +893,10 @@ fn band_rows(height: usize, bands: usize, band: usize) -> std::ops::Range<usize>
 /// The extraction kernel: fused scan → labelling → banded fold → epilogue.
 fn run_kernel<'s, V: ProbValue>(
     frame: FrameView<'_, V>,
-    ids: IdsSource<'s>,
     ground_truth: Option<&LabelMap>,
     config: &MetricsConfig,
     scratch: &'s mut KernelScratch,
     band_count: usize,
-    mode: ScanMode,
 ) -> (&'s ComponentLabels, Vec<SegmentRecord>) {
     let FrameView { width, height, .. } = frame;
     let pixels = width * height;
@@ -1203,14 +925,11 @@ fn run_kernel<'s, V: ProbValue>(
         planes.ensure(pixels);
         planes
     };
-    let wants_argmax = matches!(ids, IdsSource::Fused);
-    if wants_argmax {
-        // The scan writes every pixel of the plane, so only a shape change
-        // needs the (filling) reset.
-        let grid = argmax.get_or_insert_with(|| Grid::filled(width, height, 0u16));
-        if grid.shape() != (width, height) {
-            grid.reset(width, height, 0u16);
-        }
+    // The scan writes every pixel of the argmax plane, so only a shape
+    // change needs the (filling) reset.
+    let argmax = argmax.get_or_insert_with(|| Grid::filled(width, height, 0u16));
+    if argmax.shape() != (width, height) {
+        argmax.reset(width, height, 0u16);
     }
     {
         // Split the planes into per-band row chunks so the scan can run on
@@ -1225,10 +944,7 @@ fn run_kernel<'s, V: ProbValue>(
             let mut rest_m = &mut margin[..pixels];
             let mut rest_v = &mut variation[..pixels];
             let mut rest_t = &mut top1[..pixels];
-            let mut rest_a: &mut [u16] = match argmax.as_mut() {
-                Some(grid) if wants_argmax => grid.as_mut_slice(),
-                _ => &mut [],
-            };
+            let mut rest_a = argmax.as_mut_slice();
             let mut parts = Vec::with_capacity(band_count);
             for (band, tile) in tiles[..band_count].iter_mut().enumerate() {
                 let rows = band_rows(height, band_count, band);
@@ -1237,7 +953,7 @@ fn run_kernel<'s, V: ProbValue>(
                 let (m, tm) = rest_m.split_at_mut(len);
                 let (v, tv) = rest_v.split_at_mut(len);
                 let (t, tt) = rest_t.split_at_mut(len);
-                let (a, ta) = rest_a.split_at_mut(if wants_argmax { len } else { 0 });
+                let (a, ta) = rest_a.split_at_mut(len);
                 rest_e = te;
                 rest_m = tm;
                 rest_v = tv;
@@ -1245,7 +961,6 @@ fn run_kernel<'s, V: ProbValue>(
                 rest_a = ta;
                 parts.push(ScanPart {
                     offset: rows.start * width,
-                    mode,
                     entropy: e,
                     margin: m,
                     variation: v,
@@ -1256,9 +971,8 @@ fn run_kernel<'s, V: ProbValue>(
             }
             parts
         };
-        let scan_band = |part: &mut ScanPart<'_, V::Plane>| {
-            V::scan_band(values, num_channels, part, wants_argmax)
-        };
+        let scan_band =
+            |part: &mut ScanPart<'_, V::Plane>| V::scan_band(values, num_channels, part);
         if parts.len() == 1 {
             scan_band(&mut parts[0]);
         } else {
@@ -1275,14 +989,7 @@ fn run_kernel<'s, V: ProbValue>(
     }
 
     // --- labelling ---------------------------------------------------------
-    let components: &ComponentLabels = match ids {
-        IdsSource::Fused => labeler.label(
-            argmax.as_ref().expect("fused scan filled the argmax plane"),
-            config.connectivity,
-        ),
-        IdsSource::Ids(grid) => labeler.label(grid, config.connectivity),
-        IdsSource::Components(components) => components,
-    };
+    let components = labeler.label(argmax, config.connectivity);
     let segment_count = components.component_count();
     let gt_components: Option<&ComponentLabels> = match ground_truth {
         Some(gt) => Some(gt_labeler.label(gt.ids(), config.connectivity)),
@@ -1640,7 +1347,7 @@ impl<'a> FrameBatch<'a> {
 mod tests {
     use super::*;
     use crate::metrics::METRIC_COUNT;
-    use metaseg_data::FrameId;
+    use metaseg_data::{DistributionScanF32, FrameId};
     use metaseg_sim::{NetworkProfile, NetworkSim, Scene, SceneConfig};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1730,10 +1437,9 @@ mod tests {
     fn serial_kernel_is_bit_identical_to_legacy_kernel() {
         let frames = simulated_frames(3, 77, NetworkProfile::weak());
         let config = MetricsConfig::default();
-        let mut scratch = ExtractionScratch::new();
         for frame in &frames {
             for gt in [frame.ground_truth.as_ref(), None] {
-                let fused = frame_metrics_banded(&frame.prediction, gt, &config, &mut scratch, 1);
+                let fused = frame_metrics(&frame.prediction, gt, &config);
                 let legacy = baseline::legacy_frame_metrics(&frame.prediction, gt, &config);
                 assert_eq!(fused, legacy);
             }
@@ -1762,18 +1468,20 @@ mod tests {
         let mut shared = ExtractionScratch::new();
         let mut first_pass = Vec::new();
         for frame in &frames {
-            let records = frame_metrics_scratch(
+            let records = extract_frame(
                 &frame.prediction,
                 frame.ground_truth.as_ref(),
                 &config,
                 &mut shared,
-            );
-            let fresh = frame_metrics_scratch(
+            )
+            .1;
+            let fresh = extract_frame(
                 &frame.prediction,
                 frame.ground_truth.as_ref(),
                 &config,
                 &mut ExtractionScratch::new(),
-            );
+            )
+            .1;
             assert_eq!(records, fresh, "reused scratch must not leak state");
             first_pass.push(records);
         }
@@ -1781,12 +1489,13 @@ mod tests {
         // without growing any buffer.
         let stats_after_first_pass = shared.stats();
         for (frame, expected) in frames.iter().zip(&first_pass) {
-            let records = frame_metrics_scratch(
+            let records = extract_frame(
                 &frame.prediction,
                 frame.ground_truth.as_ref(),
                 &config,
                 &mut shared,
-            );
+            )
+            .1;
             assert_eq!(&records, expected);
         }
         assert_eq!(
@@ -1794,41 +1503,6 @@ mod tests {
             stats_after_first_pass,
             "steady-state frames must not allocate scratch"
         );
-    }
-
-    /// The two f32 scan layouts perform the identical per-lane operation
-    /// sequence, so they must agree on every float of every record — the
-    /// layout choice is purely a throughput question.
-    #[test]
-    fn f32_scan_layouts_agree_bit_exactly() {
-        use metaseg_data::{ProbEncoding, ProbPayload};
-        let frames = simulated_frames(2, 404, NetworkProfile::weak());
-        let config = MetricsConfig::default();
-        let mut scratch = ExtractionScratch::new();
-        for frame in &frames {
-            for encoding in [ProbEncoding::U16, ProbEncoding::F32, ProbEncoding::F64] {
-                let payload = ProbPayload::encode(&frame.prediction, encoding);
-                let pixel_major = extract_frame_payload_layout(
-                    &payload,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(F32ScanLayout::PixelMajor),
-                )
-                .unwrap()
-                .1;
-                let tiled = extract_frame_payload_layout(
-                    &payload,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(F32ScanLayout::Tiled),
-                )
-                .unwrap()
-                .1;
-                assert_eq!(pixel_major, tiled, "{encoding:?} layouts diverge");
-            }
-        }
     }
 
     /// The f32 fast path stays within the documented tolerance of the exact
@@ -1842,22 +1516,24 @@ mod tests {
         let mut scratch = ExtractionScratch::new();
         for frame in &frames {
             let payload = ProbPayload::encode(&frame.prediction, ProbEncoding::F64);
-            let exact = frame_metrics_payload(
+            let exact = extract_frame_payload(
                 &payload,
                 frame.ground_truth.as_ref(),
                 &config,
                 &mut scratch,
                 DispersionPrecision::F64,
             )
-            .unwrap();
-            let fast = frame_metrics_payload(
+            .unwrap()
+            .1;
+            let fast = extract_frame_payload(
                 &payload,
                 frame.ground_truth.as_ref(),
                 &config,
                 &mut scratch,
                 DispersionPrecision::F32,
             )
-            .unwrap();
+            .unwrap()
+            .1;
             assert_eq!(fast.len(), exact.len());
             for (f, e) in fast.iter().zip(&exact) {
                 assert_eq!(f.region_id, e.region_id);
@@ -1872,9 +1548,9 @@ mod tests {
     }
 
     /// The quantized in-place fast path is bit-identical to dequantizing
-    /// the wire values into an `f32` plane first and scanning that, in both
-    /// layouts: same dequantization formula per value, the staging plane
-    /// just never exists.
+    /// the wire values into an `f32` plane first and scanning that: same
+    /// dequantization formula per value, the staging plane just never
+    /// exists.
     #[test]
     fn quantized_direct_path_matches_f32_plane_bit_exactly() {
         use metaseg_data::{ProbEncoding, ProbPayload};
@@ -1895,34 +1571,20 @@ mod tests {
                 encoding: ProbEncoding::F32,
                 bytes: dequantized.iter().flat_map(|v| v.to_le_bytes()).collect(),
             };
-            for layout in [F32ScanLayout::PixelMajor, F32ScanLayout::Tiled] {
-                let direct = extract_frame_payload_layout(
-                    &quantized,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(layout),
-                )
-                .unwrap()
-                .1;
-                let via_plane = extract_frame_payload_layout(
-                    &plane,
-                    frame.ground_truth.as_ref(),
-                    &config,
-                    &mut scratch,
-                    Some(layout),
-                )
-                .unwrap()
-                .1;
-                assert_eq!(direct, via_plane, "{layout:?} routes diverge");
-            }
+            let mut extract = |payload: &ProbPayload| {
+                let gt = frame.ground_truth.as_ref();
+                extract_frame_payload(payload, gt, &config, &mut scratch, DispersionPrecision::F32)
+                    .unwrap()
+                    .1
+            };
+            assert_eq!(extract(&quantized), extract(&plane));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         /// Direct-to-scratch payload ingestion at f64 precision is
-        /// bit-identical to decode-via-`ProbMap` + [`frame_metrics_scratch`]
+        /// bit-identical to decode-via-`ProbMap` + [`extract_frame`]
         /// for every wire encoding — the zero-copy path changes nothing but
         /// the allocation profile.
         #[test]
@@ -1940,12 +1602,12 @@ mod tests {
             let payload = ProbPayload::encode(&probs, encoding);
 
             let mut scratch = ExtractionScratch::new();
-            let direct = frame_metrics_payload(
+            let direct = extract_frame_payload(
                 &payload, Some(&gt), &config, &mut scratch, DispersionPrecision::F64,
-            ).unwrap();
-            let via_map = frame_metrics_scratch(
+            ).unwrap().1;
+            let via_map = extract_frame(
                 &payload.decode().unwrap(), Some(&gt), &config, &mut scratch,
-            );
+            ).1;
             prop_assert_eq!(direct, via_map);
         }
     }
@@ -1956,24 +1618,32 @@ mod tests {
         let frames = simulated_frames(1, 11, NetworkProfile::weak());
         let mut payload = ProbPayload::encode(&frames[0].prediction, ProbEncoding::U16);
         payload.bytes.pop();
+        // A softmax wider than the class catalogue, whose extra channel
+        // wins: rejected as a shape error rather than a kernel panic.
+        let mut wide = ProbMap::uniform(4, 4, SemanticClass::ALL.len() + 1);
+        let mut dist = vec![0.0; SemanticClass::ALL.len() + 1];
+        dist[SemanticClass::ALL.len()] = 1.0;
+        wide.set_distribution_unchecked(1, 2, &dist);
+        let wide = ProbPayload::encode(&wide, ProbEncoding::U16);
         let mut scratch = ExtractionScratch::new();
         for precision in [DispersionPrecision::F64, DispersionPrecision::F32] {
-            assert!(frame_metrics_payload(
-                &payload,
-                None,
-                &MetricsConfig::default(),
-                &mut scratch,
-                precision,
-            )
-            .is_err());
+            let config = MetricsConfig::default();
+            let result = extract_frame_payload(&payload, None, &config, &mut scratch, precision);
+            assert!(result.is_err());
+            let result = extract_frame_payload(&wide, None, &config, &mut scratch, precision);
+            assert!(matches!(
+                result,
+                Err(DataError::InvalidPayloadShape { channels: 21, .. })
+            ));
         }
         // The scratch stays usable after a rejected payload.
-        let records = frame_metrics_scratch(
+        let records = extract_frame(
             &frames[0].prediction,
             None,
             &MetricsConfig::default(),
             &mut scratch,
-        );
+        )
+        .1;
         assert_eq!(
             records,
             frame_metrics(&frames[0].prediction, None, &MetricsConfig::default())
@@ -2075,10 +1745,13 @@ mod tests {
             let config = MetricsConfig::default();
             let mut scratch = ExtractionScratch::new();
 
-            let serial = frame_metrics_banded(&probs, Some(&gt), &config, &mut scratch, 1);
+            let mut banded = |bands| {
+                let frame = FrameView::of(&probs);
+                run_kernel(frame, Some(&gt), &config, &mut scratch.kernel, bands).1
+            };
+            let serial = banded(1);
             for bands in [2usize, 3, 7] {
-                let banded =
-                    frame_metrics_banded(&probs, Some(&gt), &config, &mut scratch, bands);
+                let banded = banded(bands);
                 prop_assert_eq!(banded.len(), serial.len());
                 for (b, s) in banded.iter().zip(&serial) {
                     prop_assert_eq!(b.region_id, s.region_id);
@@ -2124,7 +1797,7 @@ mod tests {
     /// degradation* — a dropout pixel reads as entropy `0`, margin `1`,
     /// variation ratio `1`, argmax channel `0` — and no NaN ever reaches a
     /// segment record, on the f64 scan, the zero-copy payload ingest, and
-    /// both f32 scan layouts (which stay bit-identical to each other).
+    /// the f32 tiled scan.
     #[test]
     fn nan_dropout_stripes_degrade_without_poisoning_records() {
         use metaseg_data::{ProbEncoding, ProbMap, ProbPayload};
@@ -2179,38 +1852,28 @@ mod tests {
         }
         // Zero-copy f64 payload ingest sees the same bytes, bit-exactly.
         let payload = ProbPayload::encode(&probs, ProbEncoding::F64);
-        let ingested = frame_metrics_payload(
+        let ingested = extract_frame_payload(
             &payload,
             gt,
             &config,
             &mut scratch,
             DispersionPrecision::F64,
         )
-        .unwrap();
+        .unwrap()
+        .1;
         assert_eq!(ingested, f64_records);
 
-        // The two f32 layouts agree bit-for-bit even on dropout stripes —
-        // the sanitiser sits at the same point of both scan orders.
+        // The f32 tiled scan sanitises dropout stripes too.
         let payload32 = ProbPayload::encode(&probs, ProbEncoding::F32);
-        let pixel_major = extract_frame_payload_layout(
+        let tiled = extract_frame_payload(
             &payload32,
             gt,
             &config,
             &mut scratch,
-            Some(F32ScanLayout::PixelMajor),
+            DispersionPrecision::F32,
         )
         .unwrap()
         .1;
-        let tiled = extract_frame_payload_layout(
-            &payload32,
-            gt,
-            &config,
-            &mut scratch,
-            Some(F32ScanLayout::Tiled),
-        )
-        .unwrap()
-        .1;
-        assert_eq!(pixel_major, tiled);
         for record in &tiled {
             assert!(record.metrics.iter().all(|m| m.is_finite()));
         }
@@ -2236,12 +1899,12 @@ mod tests {
         for (i, &(width, height)) in shapes.iter().enumerate() {
             let probs = random_probmap(width, height, 12, 8800 + i as u64);
             let payload = ProbPayload::encode(&probs, ProbEncoding::F32);
-            let tiled = extract_frame_payload_layout(
+            let tiled = extract_frame_payload(
                 &payload,
                 None,
                 &config,
                 &mut scratch,
-                Some(F32ScanLayout::Tiled),
+                DispersionPrecision::F32,
             )
             .unwrap()
             .1;
@@ -2257,6 +1920,77 @@ mod tests {
                     error <= 1e-4,
                     "{width}x{height}: f32 tiled deviates {error} from f64"
                 );
+            }
+        }
+    }
+
+    /// The tiled f32 scan reproduces [`DistributionScanF32`] pixel by pixel:
+    /// every plane float bit for bit, and the argmax, for `f32` values and
+    /// for quantized wire pairs (against the dequantized pixel) — at
+    /// partial, exact and overfull tiles, awkward channel counts, and NaN
+    /// and all-zero dropout pixels.
+    #[test]
+    fn tiled_scan_matches_distribution_scan_f32_per_pixel() {
+        fn check<V: ProbValue<Plane = f32>>(values: &[V], channels: usize) {
+            let pixels = values.len() / channels;
+            let mut planes = MetricPlanes::<f32>::default();
+            planes.ensure(pixels);
+            let mut argmax = vec![u16::MAX; pixels];
+            V::scan_band(
+                values,
+                channels,
+                &mut ScanPart {
+                    offset: 0,
+                    entropy: &mut planes.entropy[..pixels],
+                    margin: &mut planes.margin[..pixels],
+                    variation: &mut planes.variation[..pixels],
+                    top1: &mut planes.top1[..pixels],
+                    argmax: &mut argmax,
+                    tile: &mut Vec::new(),
+                },
+            );
+            let inv_ln_n = 1.0 / (channels as f32).ln();
+            for (i, dist) in values.chunks_exact(channels).enumerate() {
+                let dist: Vec<f32> = dist.iter().map(|v| v.to_f32()).collect();
+                let scan = DistributionScanF32::of(&dist);
+                let expected = [
+                    (scan.raw_entropy * inv_ln_n).clamp(0.0, 1.0),
+                    scan.margin(),
+                    scan.variation_ratio(),
+                    scan.top1,
+                ];
+                let got = [
+                    planes.entropy[i],
+                    planes.margin[i],
+                    planes.variation[i],
+                    planes.top1[i],
+                ];
+                let context = format!("pixel {i} of {pixels}, {channels} channels");
+                assert_eq!(
+                    got.map(f32::to_bits),
+                    expected.map(f32::to_bits),
+                    "{context}"
+                );
+                assert_eq!(usize::from(argmax[i]), scan.argmax, "{context}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x711e);
+        for pixels in [1, 37, TILE_LANES, TILE_LANES + 1, 3 * TILE_LANES + 5] {
+            for channels in [1usize, 7, 12, 19] {
+                let mut values: Vec<f32> = (0..pixels * channels)
+                    .map(|_| rng.gen::<f64>() as f32)
+                    .collect();
+                // Dropout pixels: the last one all zero, the first all NaN,
+                // and one NaN channel in the middle of the frame.
+                values[(pixels - 1) * channels..].fill(0.0);
+                values[..channels].fill(f32::NAN);
+                values[pixels / 2 * channels + channels / 2] = f32::NAN;
+                check(&values, channels);
+                let pairs: Vec<[u8; 2]> = values
+                    .iter()
+                    .map(|&p| ((p * 65535.0).round() as u16).to_le_bytes())
+                    .collect();
+                check(&pairs, channels);
             }
         }
     }

@@ -444,8 +444,9 @@ impl MetaSegStream {
     /// records (e.g. a frame-parallel pre-extraction stage feeding several
     /// engines): runs tracking, window update and inference only.
     ///
-    /// `records` must come from [`crate::pipeline::frame_metrics_with_labels`]
-    /// on `predicted` with the engine's metric configuration.
+    /// `records` must come from [`crate::pipeline::frame_metrics`] (or
+    /// [`extract_frame`]) on the frame whose Bayes label map is `predicted`,
+    /// with the engine's metric configuration.
     pub fn push_extracted(
         &mut self,
         predicted: &LabelMap,
@@ -904,7 +905,6 @@ mod tests {
     /// the session scratch stops growing once both shapes have been seen.
     #[test]
     fn scratch_reuse_across_frame_shapes_matches_fresh_extraction() {
-        use crate::pipeline::{frame_metrics_scratch, ExtractionScratch};
         let predictor = fitted_predictor(2);
         let config = StreamConfig::default();
         // Interleave two camera geometries into one session's frame order.
@@ -938,12 +938,13 @@ mod tests {
             // The control path extracts with a brand-new scratch per frame
             // and feeds the records through the tracking/window tail.
             let predicted = frame.prediction.argmax_map();
-            let records = frame_metrics_scratch(
+            let records = extract_frame(
                 &frame.prediction,
                 None,
                 &config.metrics,
                 &mut ExtractionScratch::new(),
-            );
+            )
+            .1;
             let manual_verdicts = manual.push_extracted(&predicted, &records);
             assert_eq!(
                 session_verdicts, manual_verdicts,

@@ -92,21 +92,19 @@ impl TimeDynamic {
     }
 
     /// Extracts segment records and tracking for one sequence. Metric
-    /// extraction runs frame-parallel through [`FrameBatch`]; the Bayes label
-    /// map of each frame is computed once and shared between the tracker and
-    /// the metric extraction.
+    /// extraction runs frame-parallel through [`FrameBatch`]; the tracker
+    /// gets each frame's Bayes label map, the same argmax the extraction
+    /// kernel labels.
     pub fn analyze_sequence(&self, sequence: &Sequence) -> SequenceAnalysis {
         let batch = FrameBatch::with_config(&sequence.frames, self.config.metrics);
         let per_frame: Vec<(metaseg_data::LabelMap, Vec<SegmentRecord>)> =
             batch.map_frames(|frame| {
-                let predicted = frame.prediction.argmax_map();
-                let records = crate::pipeline::frame_metrics_with_labels(
+                let records = crate::pipeline::frame_metrics(
                     &frame.prediction,
-                    &predicted,
                     frame.ground_truth.as_ref(),
                     batch.config(),
                 );
-                (predicted, records)
+                (frame.prediction.argmax_map(), records)
             });
         let (predicted_maps, records): (Vec<_>, Vec<_>) = per_frame.into_iter().unzip();
         let tracker = SegmentTracker::new(self.config.tracker);

@@ -37,8 +37,9 @@ pub enum DataError {
     },
     /// An operation that needs at least one element got an empty collection.
     EmptyCollection(&'static str),
-    /// A declared payload shape is unusable: a zero dimension, or a pixel /
-    /// byte count that overflows `usize` when multiplied out.
+    /// A declared payload shape is unusable: a zero dimension, a pixel /
+    /// byte count that overflows `usize` when multiplied out, or (at metric
+    /// extraction) more channels than the class catalogue.
     InvalidPayloadShape {
         /// Declared width in pixels.
         width: usize,
@@ -90,8 +91,8 @@ impl fmt::Display for DataError {
                 channels,
             } => write!(
                 f,
-                "payload shape {width}x{height}x{channels} has a zero dimension \
-                 or overflows the addressable size"
+                "payload shape {width}x{height}x{channels} has a zero dimension, \
+                 overflows the addressable size or exceeds the class catalogue"
             ),
             DataError::PayloadSizeMismatch { expected, found } => write!(
                 f,

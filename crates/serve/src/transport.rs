@@ -30,6 +30,7 @@ use crate::server::{
 use crate::shard::{Completion, ConnId, Job, JobKind, JobPayload, Session, Shard};
 use crate::wire::{self, BinaryFrameHeader, BINARY_FRAME_MAGIC, BINARY_HEADER_LEN};
 use metaseg::DispersionPrecision;
+use metaseg_data::SemanticClass;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -910,15 +911,21 @@ impl Transport {
         let Some(state) = self.owned_state(conn, session) else {
             return Some(unknown_session_error(session));
         };
-        // Decoded payloads cross a trust boundary: an inconsistent shape
-        // would panic deep inside metric extraction. (The binary path
-        // validates shape against byte count before the job is built.)
+        // Decoded payloads cross a trust boundary: an inconsistent shape, or
+        // more channels than the class catalogue, would panic deep inside
+        // metric extraction. (The binary path validates shape against byte
+        // count before the job is built, and the kernel rejects its channel
+        // count as a payload error.)
         if let JobPayload::Decoded(probs) = &payload {
             if !probs.shape_consistent() {
-                return Some(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "frame payload has an inconsistent shape".to_string(),
-                });
+                return Some(bad_request("frame payload has an inconsistent shape"));
+            }
+            if probs.num_classes() > SemanticClass::ALL.len() {
+                return Some(bad_request(format!(
+                    "frame has {} softmax channels; the class catalogue has {}",
+                    probs.num_classes(),
+                    SemanticClass::ALL.len()
+                )));
             }
         }
         let job = Job {

@@ -6,7 +6,8 @@
 
 use metaseg_bench::serve_fixture;
 use metaseg_suite::metaseg::stream::{FrameVerdicts, MetaSegStream, StreamConfig};
-use metaseg_suite::metaseg_data::ProbEncoding;
+use metaseg_suite::metaseg::DispersionPrecision;
+use metaseg_suite::metaseg_data::{ProbEncoding, ProbPayload, SemanticClass};
 use metaseg_suite::metaseg_learners::MetaPredictor;
 use metaseg_suite::metaseg_serve::{
     ErrorCode, FrameFormat, ModelRegistry, Request, Response, ServeClient, Server, ServerConfig,
@@ -301,6 +302,60 @@ fn f32_dispersion_fast_path_serves_within_tolerance_of_the_f64_default() {
     }
     let stats = client.close(session).unwrap();
     assert_eq!(stats.frames, frames.len());
+    handle.shutdown();
+}
+
+#[test]
+fn frames_wider_than_the_class_catalogue_are_bad_requests_and_the_session_survives() {
+    // A softmax with one channel more than the class catalogue, where the
+    // extra channel wins, has no class to name its segment. It must get a
+    // typed `bad-request` that leaves the session serving (not a kernel
+    // panic answered `internal` that poisons the session), on the JSON wire
+    // and on a binary-u16 session with the f32 dispersion scan.
+    let handle = spawn_server(ServerConfig::default());
+    let frames = camera_frames(0);
+    let channels = SemanticClass::ALL.len() + 1;
+    let mut wide = ProbMap::uniform(4, 4, channels);
+    let mut dist = vec![0.0; channels];
+    dist[channels - 1] = 1.0;
+    wide.set_distribution_unchecked(2, 1, &dist);
+
+    for (format, dispersion) in [
+        (FrameFormat::Json, DispersionPrecision::F64),
+        (
+            FrameFormat::Binary(ProbEncoding::U16),
+            DispersionPrecision::F32,
+        ),
+    ] {
+        let mut client = ServeClient::connect(handle.local_addr()).expect("connect succeeds");
+        client
+            .negotiate_with_dispersion(format, dispersion)
+            .unwrap();
+        let (session, _) = client.open("default", "cam-wide").unwrap();
+        let mut served = Vec::new();
+        for probs in &frames[..2] {
+            let error = client.submit(session, &wide).unwrap_err();
+            assert_eq!(error.server_code(), Some(ErrorCode::BadRequest), "{format}");
+            let (frame, verdicts) = client.submit(session, probs).unwrap();
+            served.push(FrameVerdicts { frame, verdicts });
+        }
+        let expected = match format {
+            FrameFormat::Json => in_process_verdicts(&frames[..2]),
+            FrameFormat::Binary(encoding) => {
+                let (stream_config, predictor) = fitted().clone();
+                let mut engine = MetaSegStream::new(stream_config, predictor).unwrap();
+                frames[..2]
+                    .iter()
+                    .map(|probs| {
+                        let payload = ProbPayload::encode(probs, encoding);
+                        engine.push_payload(&payload, dispersion).unwrap()
+                    })
+                    .collect()
+            }
+        };
+        assert_eq!(served, expected, "{format} verdicts after a rejected frame");
+        assert_eq!(client.close(session).unwrap().frames, 2);
+    }
     handle.shutdown();
 }
 
