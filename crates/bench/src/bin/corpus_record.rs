@@ -1,10 +1,13 @@
 //! Records a frame corpus: real simulated camera feeds dumped to the chunked
 //! container format (`metaseg_data::container`) for deterministic replay.
 //!
-//! Each `--sequences` camera renders `--frames` frames of the standard
-//! weak-network video simulation (the exact producer `serve_loadtest` drives
-//! live), optionally degraded through an adverse `--regime`
-//! ([`metaseg_sim::ScenarioSuite`] fog, dropout, occlusion, …), encodes every
+//! Each `--sequences` camera renders `--frames` frames of
+//! [`serve_fixture::camera`], the weak-network video simulation
+//! `serve_loadtest` drives live, optionally degraded through an adverse
+//! `--regime` ([`metaseg_sim::ScenarioSuite`] fog, dropout, occlusion, …).
+//! With the default `--seed` and geometry the recording holds exactly the
+//! frames `serve_loadtest --cameras N --frames M` submits live for
+//! `--sequences N --frames M` (N at most 8). It encodes every
 //! prediction as a [`metaseg_data::ProbPayload`] and streams it — ground truth included on
 //! the sparsely labelled frames — into `--out`. The file replays through
 //! `serve_loadtest --corpus` and `extraction_profile --corpus`, so loadtests
@@ -20,10 +23,9 @@
 //!     --sequences 4 --frames 24 --seed 7200 --out corpus.msgc
 //! ```
 
-use metaseg_bench::serve_fixture::video_config;
+use metaseg_bench::serve_fixture::{self, CAMERA_SEED};
 use metaseg_data::{CorpusWriter, ProbEncoding};
-use metaseg_sim::{FrameSource, NetworkProfile, NetworkSim, RegimeKind, RegimeSource, VideoStream};
-use rand::{rngs::StdRng, SeedableRng};
+use metaseg_sim::RegimeKind;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -52,7 +54,7 @@ impl Options {
             encoding: ProbEncoding::F64,
             bands: 4,
             raw: false,
-            seed: 7200,
+            seed: CAMERA_SEED,
             regime: None,
             out: PathBuf::from("corpus.msgc"),
         };
@@ -110,31 +112,20 @@ fn main() {
         CorpusWriter::new(BufWriter::new(file), !options.raw).expect("corpus header writes");
 
     for sequence in 0..options.sequences {
-        // Same producer (and seed schedule) as a live `serve_loadtest`
-        // camera: the corpus is a recording of real traffic, not a synthetic
-        // stand-in.
-        let mut rng = StdRng::seed_from_u64(options.seed + sequence as u64);
-        let config = video_config(options.frames, options.width, options.height);
-        let sim = NetworkSim::new(NetworkProfile::weak());
-        // Endless, like the loadtest cameras: a frame-dropping regime must
-        // not leave the corpus short of the requested length.
-        let stream = VideoStream::open_endless(&config, sim, sequence, &mut rng);
-        let mut source: Box<dyn FrameSource> = match options.regime {
-            Some(kind) => Box::new(RegimeSource::new(
-                kind.build(options.seed + 1000 + sequence as u64),
-                stream,
-            )),
-            None => Box::new(stream),
-        };
-        let mut recorded = 0usize;
-        while recorded < options.frames {
-            let frame = source
-                .next_frame()
-                .expect("the configured stream supplies every requested frame");
+        // The live `serve_loadtest` camera: the corpus is a recording of
+        // real traffic, not a synthetic stand-in.
+        let mut source = serve_fixture::camera(
+            options.seed,
+            sequence,
+            options.width,
+            options.height,
+            options.regime,
+        );
+        for _ in 0..options.frames {
+            let frame = source.next_frame().expect("a camera never runs dry");
             writer
                 .write_frame(&frame, options.encoding, options.bands)
                 .expect("corpus frame writes");
-            recorded += 1;
         }
     }
     let frames_written = writer.frames_written();

@@ -1,178 +1,62 @@
-//! The on-disk shape of `BENCH_chaos.json`: one chaos survival run
-//! (`serve_loadtest --chaos`) replaying a corpus through the byte-level
-//! fault proxy of `metaseg_sim::ChaosProxy`, one report per named
-//! [`FaultPlan`](metaseg_sim::FaultPlan) — with the survival gate CI keys
-//! on (the same re-read-and-exit-nonzero invariant as `BENCH_corpus.json`
-//! and `BENCH_serve_scale.json`).
+//! The one gate of [`crate::report`] on the shape `serve_loadtest --chaos`
+//! writes to `BENCH_chaos.json`: one run per fault plan, each behind a
+//! proxy.
 
-use crate::corpus::LatencySummary;
-use metaseg_serve::ServerStats;
-use metaseg_sim::ChaosStats;
-use serde::{Deserialize, Serialize};
-
-/// Survival outcome of one fault plan: every camera replayed its frames
-/// through the proxy with a retrying client while the plan tore, trickled,
-/// stalled, corrupted or reset the wire.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosPlanReport {
-    /// Name of the fault plan (see `FaultPlan::named`).
-    pub plan: String,
-    /// Concurrent camera sessions driven through the proxy.
-    pub cameras: usize,
-    /// Frames each camera submitted.
-    pub frames_per_camera: usize,
-    /// Sessions that ran to completion (close acknowledged, or confirmed
-    /// already-closed after a faulted close). Must equal `cameras`.
-    pub sessions_completed: usize,
-    /// Sessions abandoned with an unrecoverable error. Must be zero.
-    pub sessions_killed: usize,
-    /// Frames whose verdicts came back directly and were compared against
-    /// the in-process reference.
-    pub frames_served: usize,
-    /// Frames the server applied but whose response died with a faulted
-    /// connection (detected via resume — never resubmitted).
-    pub frames_lost_response: usize,
-    /// Served verdicts that were not bit-identical to the in-process
-    /// reference engine. Must be zero.
-    pub verdict_mismatches: usize,
-    /// Connections re-established by the retrying clients.
-    pub reconnects: usize,
-    /// Faults the proxy actually injected.
-    pub proxy: ChaosStats,
-    /// Final server counters for this plan's dedicated server.
-    pub server: ServerStats,
-    /// Sessions still open server-side after the run settled. Must be zero.
-    pub leaked_sessions: usize,
-    /// Connections still open server-side after the run settled. Must be
-    /// zero.
-    pub leaked_connections: usize,
-    /// Per-frame submit latency percentiles (includes retry/backoff time —
-    /// chaos latency measures survival cost, not the fast path).
-    pub latency: LatencySummary,
-    /// Sustained throughput across all cameras, faults included.
-    pub frames_per_s: f64,
-}
-
-impl ChaosPlanReport {
-    /// The survival invariant for one plan: every session completed, no
-    /// session was killed, every served verdict matched the reference
-    /// bit-for-bit, nothing leaked, every frame was accounted for (served
-    /// or confirmed-applied), and the numbers are finite.
-    pub fn survived(&self) -> bool {
-        self.sessions_completed == self.cameras
-            && self.sessions_killed == 0
-            && self.verdict_mismatches == 0
-            && self.leaked_sessions == 0
-            && self.leaked_connections == 0
-            && self.frames_served + self.frames_lost_response
-                == self.cameras * self.frames_per_camera
-            && self.frames_per_s.is_finite()
-            && self.frames_per_s > 0.0
-            && self.latency.is_finite()
-    }
-}
-
-/// The on-disk shape of `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosReport {
-    /// Artefact discriminator (`"serve_loadtest_chaos"`).
-    pub bench: String,
-    /// Corpus file the run replayed.
-    pub corpus: String,
-    /// Whether this was the reduced CI smoke variant (`--smoke`).
-    pub smoke: bool,
-    /// One survival report per fault plan exercised.
-    pub plans: Vec<ChaosPlanReport>,
-}
-
-impl ChaosReport {
-    /// The CI gate: at least one plan ran and every plan survived.
-    pub fn is_survivable(&self) -> bool {
-        !self.plans.is_empty() && self.plans.iter().all(ChaosPlanReport::survived)
-    }
-
-    /// The names of the plans that failed their survival invariant.
-    pub fn failed_plans(&self) -> Vec<&str> {
-        self.plans
-            .iter()
-            .filter(|p| !p.survived())
-            .map(|p| p.plan.as_str())
-            .collect()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use std::time::Duration;
+    use crate::report::tests::run;
+    use crate::report::{LoadReport, RunReport};
 
-    fn plan_report() -> ChaosPlanReport {
-        let sorted = vec![Duration::from_millis(3), Duration::from_millis(40)];
-        ChaosPlanReport {
-            plan: "torn".into(),
-            cameras: 2,
-            frames_per_camera: 4,
-            sessions_completed: 2,
-            sessions_killed: 0,
-            frames_served: 7,
-            frames_lost_response: 1,
-            verdict_mismatches: 0,
-            reconnects: 3,
-            proxy: ChaosStats::default(),
-            server: ServerStats::default(),
-            leaked_sessions: 0,
-            leaked_connections: 0,
-            latency: LatencySummary::from_sorted(&sorted),
-            frames_per_s: 55.0,
-        }
-    }
-
-    fn report() -> ChaosReport {
-        ChaosReport {
-            bench: "serve_loadtest_chaos".into(),
-            corpus: "corpus.msgc".into(),
-            smoke: false,
-            plans: vec![plan_report()],
+    /// A corpus replayed through two fault plans, both survived.
+    fn report() -> LoadReport {
+        let plan = |name: &str| RunReport {
+            plan: Some(name.into()),
+            ..run()
+        };
+        LoadReport {
+            source: "corpus.msgc".into(),
+            runs: vec![plan("trickle"), plan("torn")],
         }
     }
 
     #[test]
     fn gate_accepts_a_survived_report() {
-        assert!(report().is_survivable());
-        assert!(report().failed_plans().is_empty());
+        assert!(report().failures().is_empty());
     }
 
     #[test]
     fn gate_rejects_an_empty_report() {
         let mut r = report();
-        r.plans.clear();
-        assert!(!r.is_survivable());
+        r.runs.clear();
+        assert_eq!(r.failures(), ["no runs"]);
     }
 
     #[test]
     fn gate_rejects_mismatches_leaks_and_lost_frames() {
-        for mutate in [
-            (|p: &mut ChaosPlanReport| p.verdict_mismatches = 1) as fn(&mut ChaosPlanReport),
-            |p| p.sessions_killed = 1,
-            |p| p.sessions_completed = 1,
-            |p| p.leaked_sessions = 1,
-            |p| p.leaked_connections = 1,
-            // A frame neither served nor confirmed-applied vanished.
-            |p| p.frames_served = 6,
-            |p| p.frames_per_s = f64::NAN,
-        ] {
+        let mutations: [(&str, fn(&mut RunReport)); 7] = [
+            ("verdicts", |p| p.verdict_mismatches = 1),
+            ("sessions", |p| p.sessions_killed = 1),
+            ("sessions", |p| p.sessions_completed = 1),
+            ("drain", |p| p.leaked_sessions = 1),
+            ("drain", |p| p.leaked_connections = 1),
+            // A frame neither served nor confirmed applied vanished.
+            ("frames", |p| p.frames_served = 6),
+            ("finite", |p| p.frames_per_s = f64::NAN),
+        ];
+        for (clause, mutate) in mutations {
             let mut r = report();
-            mutate(&mut r.plans[0]);
-            assert!(!r.is_survivable(), "mutation must fail the gate");
-            assert_eq!(r.failed_plans(), vec!["torn"]);
+            mutate(&mut r.runs[1]);
+            // The failure names the run of the `torn` plan, and only it.
+            assert_eq!(r.failures(), [format!("run 1: {clause}")]);
+            assert_eq!(r.runs[1].plan.as_deref(), Some("torn"));
         }
     }
 
     #[test]
     fn report_roundtrips_through_json() {
         let json = serde_json::to_string(&report()).unwrap();
-        let back: ChaosReport = serde_json::from_str(&json).unwrap();
-        assert!(back.is_survivable());
-        assert_eq!(back.plans[0].plan, "torn");
+        let back: LoadReport = serde_json::from_str(&json).unwrap();
+        assert!(back.failures().is_empty());
+        assert_eq!(back.runs[1].plan.as_deref(), Some("torn"));
+        assert_eq!(back, report());
     }
 }

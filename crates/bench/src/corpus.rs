@@ -1,22 +1,15 @@
-//! Shared corpus record/replay plumbing for the bench binaries.
+//! Corpus replay for the bench binaries.
 //!
 //! `corpus_record` dumps real [`metaseg_data::ProbPayload`] frames (benign or
 //! regime-degraded camera feeds) into the chunked container format of
 //! `metaseg_data::container`; `serve_loadtest --corpus` and
-//! `extraction_profile --corpus` replay the same file. This module holds the
-//! pieces both sides share: loading a corpus grouped by camera sequence, and
-//! the on-disk shape of `BENCH_corpus.json` with its finiteness gate (the
-//! same re-read-and-exit-nonzero invariant CI keys on for
-//! `BENCH_scenarios.json`).
+//! `extraction_profile --corpus` replay the same file, loaded here grouped
+//! by camera sequence.
 
 use metaseg_data::{CorpusFrame, CorpusReader};
-use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
-use std::time::Duration;
-
-use crate::serve_fixture::percentile_ms;
 
 /// A corpus loaded into memory, frames grouped by their recorded camera
 /// sequence (in first-seen order, preserving per-sequence frame order).
@@ -60,78 +53,10 @@ pub fn load_corpus(path: &Path) -> Result<LoadedCorpus, String> {
     Ok(LoadedCorpus { sequences })
 }
 
-/// Latency percentiles of one replay run, in milliseconds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Median per-frame latency.
-    pub p50_ms: f64,
-    /// 90th-percentile per-frame latency.
-    pub p90_ms: f64,
-    /// 99th-percentile per-frame latency.
-    pub p99_ms: f64,
-    /// Worst per-frame latency.
-    pub max_ms: f64,
-}
-
-impl LatencySummary {
-    /// Summarises a sorted latency sample.
-    pub fn from_sorted(sorted: &[Duration]) -> Self {
-        Self {
-            p50_ms: percentile_ms(sorted, 0.50),
-            p90_ms: percentile_ms(sorted, 0.90),
-            p99_ms: percentile_ms(sorted, 0.99),
-            max_ms: percentile_ms(sorted, 1.0),
-        }
-    }
-
-    /// Whether every percentile is a finite number.
-    pub fn is_finite(&self) -> bool {
-        self.p50_ms.is_finite()
-            && self.p90_ms.is_finite()
-            && self.p99_ms.is_finite()
-            && self.max_ms.is_finite()
-    }
-}
-
-/// The on-disk shape of `BENCH_corpus.json`: one corpus-driven loadtest run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CorpusReport {
-    /// Artefact discriminator (`"serve_loadtest_corpus"`).
-    pub bench: String,
-    /// Corpus file the run replayed.
-    pub corpus: String,
-    /// Camera sequences the corpus holds.
-    pub sequences: usize,
-    /// Total frames the corpus holds.
-    pub corpus_frames: usize,
-    /// Concurrent replay sessions driven.
-    pub cameras: usize,
-    /// Frames each camera replayed (cycling its sequence as needed).
-    pub frames_per_camera: usize,
-    /// Sustained throughput across all cameras.
-    pub frames_per_s: f64,
-    /// Per-frame submit latency percentiles.
-    pub latency: LatencySummary,
-    /// Meta-classification verdicts returned across the run.
-    pub verdicts: usize,
-    /// Frames the server processed (must equal `cameras * frames_per_camera`).
-    pub server_frames_processed: usize,
-}
-
-impl CorpusReport {
-    /// The CI gate: every throughput/latency metric finite and every
-    /// submitted frame processed exactly once.
-    pub fn is_finite(&self) -> bool {
-        self.frames_per_s.is_finite()
-            && self.frames_per_s > 0.0
-            && self.latency.is_finite()
-            && self.server_frames_processed == self.cameras * self.frames_per_camera
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{tests::direct_run, LoadReport};
     use metaseg_data::{CorpusWriter, Frame, FrameId, ProbEncoding, ProbMap};
 
     fn write_fixture(path: &Path) {
@@ -178,24 +103,15 @@ mod tests {
 
     #[test]
     fn corpus_report_gate_rejects_non_finite_and_dropped_frames() {
-        let sorted = vec![Duration::from_millis(2), Duration::from_millis(5)];
-        let mut report = CorpusReport {
-            bench: "serve_loadtest_corpus".into(),
-            corpus: "corpus.msgc".into(),
-            sequences: 2,
-            corpus_frames: 8,
-            cameras: 2,
-            frames_per_camera: 4,
-            frames_per_s: 100.0,
-            latency: LatencySummary::from_sorted(&sorted),
-            verdicts: 8,
-            server_frames_processed: 8,
+        let mut report = LoadReport {
+            source: "corpus.msgc".into(),
+            runs: vec![direct_run()],
         };
-        assert!(report.is_finite());
-        report.frames_per_s = f64::NAN;
-        assert!(!report.is_finite());
-        report.frames_per_s = 100.0;
-        report.server_frames_processed = 7;
-        assert!(!report.is_finite());
+        assert!(report.failures().is_empty());
+        report.runs[0].frames_per_s = f64::NAN;
+        assert_eq!(report.failures(), ["run 0: finite"]);
+        report.runs[0].frames_per_s = 100.0;
+        report.runs[0].server.frames_processed = 7;
+        assert!(report.failures().contains(&"run 0: frames".to_string()));
     }
 }

@@ -5,36 +5,57 @@
 //! * `src/bin/` contains one binary per paper artefact (`table1`, `figure1`,
 //!   `figure2`, `table2`, `figure3`, `figure4`, `figure5`) that regenerates
 //!   the corresponding table or figure and writes any image panels to
-//!   `figures/`,
+//!   `figures/`, plus the binaries behind the `BENCH_*.json` artifacts
+//!   (`extraction_profile`, `scenario_sweep`, `serve_loadtest`) and
+//!   `corpus_record`, which records the frame corpora they replay,
 //! * `benches/` contains Criterion micro benchmarks of the building blocks
 //!   (scene generation, metric construction, meta-model training, tracking,
-//!   decision rules, the streaming engine) plus the ablation benches called
-//!   out in `DESIGN.md`,
-//! * [`serve_fixture`] holds the shared fit-a-small-model fixture used by
-//!   the serving demo/loadtest binaries and the serve integration test.
+//!   decision rules, the streaming engine) plus two ablation benches
+//!   (`ablation_metrics`, `ablation_models`),
+//! * [`serve_fixture`] holds the shared fit-a-small-model fixture and the
+//!   simulated camera used by the serving demo, `corpus_record`,
+//!   `serve_loadtest` and the serve integration tests,
+//! * [`corpus`] loads a recorded frame corpus for replay,
+//! * [`report`] is the on-disk shape of every `serve_loadtest` artifact
+//!   and its one gate; the test-only `chaos` and `scale` modules (and
+//!   [`corpus`]'s tests) hold that gate to the shapes of
+//!   `BENCH_chaos.json`, `BENCH_serve_scale.json` and `BENCH_corpus.json`,
+//! * [`scenario`] is the regime sweep behind `BENCH_scenarios.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
 
-pub mod chaos;
+#[cfg(test)]
+mod chaos;
 pub mod corpus;
-pub mod scale;
+pub mod report;
+#[cfg(test)]
+mod scale;
 pub mod scenario;
 
 pub mod serve_fixture {
     //! Shared fixture for the serving surfaces (`serve_loadtest`,
-    //! `examples/serve_demo.rs`, `tests/serve.rs`): one place that fits the
-    //! small meta predictor and sizes the simulated camera, so the demo,
-    //! the loadtest and the differential test cannot drift apart.
+    //! `corpus_record`, `examples/serve_demo.rs`, `tests/serve.rs`): one
+    //! place that fits the small meta predictor and renders the simulated
+    //! camera, so the demo, the recorder, the loadtest and the
+    //! differential tests cannot drift apart.
 
     use metaseg::stream::StreamConfig;
     use metaseg::timedyn::{MetaModel, TimeDynConfig, TimeDynamic};
     use metaseg_learners::{MetaPredictor, TabularDataset};
-    use metaseg_sim::{NetworkProfile, NetworkSim, SceneConfig, VideoConfig, VideoScenario};
+    use metaseg_sim::{
+        FrameSource, NetworkProfile, NetworkSim, RegimeKind, RegimeSource, SceneConfig,
+        VideoConfig, VideoScenario, VideoStream,
+    };
     use rand::{rngs::StdRng, SeedableRng};
     use std::time::Duration;
+
+    /// Seed base of [`camera`] when none is chosen: `corpus_record`'s
+    /// default `--seed`, and the seed of every live `serve_loadtest`
+    /// camera.
+    pub const CAMERA_SEED: u64 = 7200;
 
     /// A scaled-down video configuration (`width` x `height` pixels) so the
     /// per-frame wire payloads stay small.
@@ -48,6 +69,33 @@ pub mod serve_fixture {
                 ..SceneConfig::small()
             },
             ..VideoConfig::small()
+        }
+    }
+
+    /// Camera `index` seeded from `seed`: the endless weak-network video
+    /// simulation at `width` x `height` (rendered from `seed + index`),
+    /// degraded through `regime` when one is given (seeded from
+    /// `seed + 1000 + index`). Endless, like a live camera, so a
+    /// frame-dropping regime never runs it dry. `corpus_record` records
+    /// this camera and `serve_loadtest` drives it live: with the same seed
+    /// they submit the same frames.
+    pub fn camera(
+        seed: u64,
+        index: usize,
+        width: usize,
+        height: usize,
+        regime: Option<RegimeKind>,
+    ) -> Box<dyn FrameSource> {
+        let mut rng = StdRng::seed_from_u64(seed + index as u64);
+        let sim = NetworkSim::new(NetworkProfile::weak());
+        let stream =
+            VideoStream::open_endless(&video_config(1, width, height), sim, index, &mut rng);
+        match regime {
+            Some(kind) => Box::new(RegimeSource::new(
+                kind.build(seed + 1000 + index as u64),
+                stream,
+            )),
+            None => Box::new(stream),
         }
     }
 

@@ -1,225 +1,47 @@
-//! The on-disk shape of `BENCH_serve_scale.json`: one fleet-scale loadtest
-//! of the sharded event-loop transport (`serve_loadtest --scale`), with its
-//! finiteness / consistency gate — the same re-read-and-exit-nonzero
-//! invariant CI keys on for `BENCH_corpus.json` and `BENCH_scenarios.json`.
+//! The one gate of [`crate::report`] on the shape
+//! `serve_loadtest --scale --hot-swap` writes to `BENCH_serve_scale.json`:
+//! a live fleet on direct connections whose model is swapped halfway.
 
-use crate::corpus::LatencySummary;
-use metaseg_serve::{ServerStats, ShardStats};
-use serde::{Deserialize, Serialize};
-
-/// Latency SLO thresholds asserted by a scale run (absent percentiles are
-/// not asserted).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct ScaleSlo {
-    /// Upper bound on the median per-frame latency, in milliseconds.
-    pub p50_ms: Option<f64>,
-    /// Upper bound on the 90th-percentile per-frame latency.
-    pub p90_ms: Option<f64>,
-    /// Upper bound on the 99th-percentile per-frame latency.
-    pub p99_ms: Option<f64>,
-}
-
-impl ScaleSlo {
-    /// Whether any threshold is set.
-    pub fn is_asserted(&self) -> bool {
-        self.p50_ms.is_some() || self.p90_ms.is_some() || self.p99_ms.is_some()
-    }
-
-    /// The thresholds `measured` violates, as `(name, measured, limit)`.
-    pub fn violations(&self, measured: &LatencySummary) -> Vec<(&'static str, f64, f64)> {
-        let mut violations = Vec::new();
-        let checks = [
-            ("p50_ms", measured.p50_ms, self.p50_ms),
-            ("p90_ms", measured.p90_ms, self.p90_ms),
-            ("p99_ms", measured.p99_ms, self.p99_ms),
-        ];
-        for (name, value, limit) in checks {
-            if let Some(limit) = limit {
-                // A non-finite measurement can never satisfy an SLO.
-                if !(value.is_finite() && value <= limit) {
-                    violations.push((name, value, limit));
-                }
-            }
-        }
-        violations
-    }
-}
-
-/// Outcome of the mid-run hot model swap (`serve_loadtest --scale
-/// --hot-swap`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HotSwapReport {
-    /// Registry version of the model after the swap (the run starts at 1).
-    pub version_after: u64,
-    /// Frames that had completed when the swap was issued.
-    pub frames_before_swap: usize,
-    /// Sessions opened before the swap that still completed their full
-    /// frame budget afterwards — must equal `cameras` (zero dropped
-    /// sessions).
-    pub sessions_survived: usize,
-}
-
-/// The on-disk shape of `BENCH_serve_scale.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScaleReport {
-    /// Artefact discriminator (`"serve_loadtest_scale"`).
-    pub bench: String,
-    /// Concurrent camera sessions driven.
-    pub cameras: usize,
-    /// TCP connections the sessions were multiplexed over.
-    pub connections: usize,
-    /// Frames each camera submitted.
-    pub frames_per_camera: usize,
-    /// Shard worker threads of the server.
-    pub workers: usize,
-    /// Sustained throughput across all cameras.
-    pub frames_per_s: f64,
-    /// Per-frame submit latency percentiles.
-    pub latency: LatencySummary,
-    /// Meta-classification verdicts returned across the run.
-    pub verdicts: usize,
-    /// Client-side backpressure retries.
-    pub retries: usize,
-    /// Final aggregate server counters.
-    pub server: ServerStats,
-    /// Final per-shard counters (their sums/maxima must reproduce
-    /// `server`).
-    pub shards: Vec<ShardStats>,
-    /// The SLO thresholds this run asserted (all absent when none were).
-    pub slo: ScaleSlo,
-    /// Present when the run hot-swapped the model mid-load.
-    pub hot_swap: Option<HotSwapReport>,
-}
-
-impl ScaleReport {
-    /// The CI gate: finite throughput and percentiles, every submitted
-    /// frame processed exactly once, per-shard counters consistent with the
-    /// aggregate, and — when asserted — the SLO met.
-    pub fn is_finite(&self) -> bool {
-        let shard_frames: usize = self.shards.iter().map(|s| s.frames_processed).sum();
-        let shard_rejected: usize = self.shards.iter().map(|s| s.rejected).sum();
-        self.frames_per_s.is_finite()
-            && self.frames_per_s > 0.0
-            && self.latency.is_finite()
-            && self.server.frames_processed == self.cameras * self.frames_per_camera
-            && shard_frames == self.server.frames_processed
-            && shard_rejected == self.server.rejected
-            && self.slo.violations(&self.latency).is_empty()
-            && self
-                .hot_swap
-                .as_ref()
-                .is_none_or(|swap| swap.sessions_survived == self.cameras)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use std::time::Duration;
+    use crate::report::tests::direct_run;
+    use crate::report::{LoadReport, RunReport};
 
-    fn report() -> ScaleReport {
-        let sorted = vec![Duration::from_millis(2), Duration::from_millis(5)];
-        ScaleReport {
-            bench: "serve_loadtest_scale".into(),
-            cameras: 4,
-            connections: 2,
-            frames_per_camera: 3,
-            workers: 2,
-            frames_per_s: 250.0,
-            latency: LatencySummary::from_sorted(&sorted),
-            verdicts: 12,
-            retries: 0,
-            server: ServerStats {
-                connections: 2,
-                sessions_opened: 4,
-                frames_processed: 12,
-                binary_frames: 12,
-                rejected: 0,
-                peak_queue_depth: 2,
-                batches: 10,
-                peak_batch: 2,
-                timed_out: 0,
-                evicted_slow: 0,
-                shed_connections: 0,
-                sessions_resumed: 0,
-                sessions_expired: 0,
-            },
-            shards: vec![
-                ShardStats {
-                    shard: 0,
-                    frames_processed: 6,
-                    rejected: 0,
-                    peak_queue_depth: 2,
-                    batches: 5,
-                    peak_batch: 2,
-                },
-                ShardStats {
-                    shard: 1,
-                    frames_processed: 6,
-                    rejected: 0,
-                    peak_queue_depth: 1,
-                    batches: 5,
-                    peak_batch: 1,
-                },
-            ],
-            slo: ScaleSlo::default(),
-            hot_swap: None,
+    fn report() -> LoadReport {
+        LoadReport {
+            source: "live".into(),
+            runs: vec![RunReport {
+                hot_swap_version: Some(2),
+                ..direct_run()
+            }],
         }
     }
 
     #[test]
     fn gate_accepts_a_consistent_report() {
-        assert!(report().is_finite());
+        assert!(report().failures().is_empty());
     }
 
     #[test]
     fn gate_rejects_non_finite_percentiles_and_dropped_frames() {
         let mut bad = report();
-        bad.latency.p99_ms = f64::NAN;
-        assert!(!bad.is_finite());
+        bad.runs[0].latency.p99_ms = f64::NAN;
+        assert_eq!(bad.failures(), ["run 0: finite"]);
 
         let mut bad = report();
-        bad.server.frames_processed = 11;
-        assert!(!bad.is_finite());
+        bad.runs[0].server.frames_processed = 7;
+        assert!(bad.failures().contains(&"run 0: frames".to_string()));
 
         // Shard counters disagreeing with the aggregate are a bug even when
         // the totals look plausible.
         let mut bad = report();
-        bad.shards[1].frames_processed = 5;
-        assert!(!bad.is_finite());
-    }
+        bad.runs[0].shards[1].frames_processed = 2;
+        assert_eq!(bad.failures(), ["run 0: shards"]);
 
-    #[test]
-    fn gate_enforces_slo_and_session_survival() {
-        let mut gated = report();
-        gated.slo.p99_ms = Some(1.0);
-        assert!(!gated.is_finite());
-        gated.slo.p99_ms = Some(1000.0);
-        assert!(gated.is_finite());
-
-        gated.hot_swap = Some(HotSwapReport {
-            version_after: 2,
-            frames_before_swap: 6,
-            sessions_survived: 3,
-        });
-        assert!(!gated.is_finite(), "a dropped session must fail the gate");
-        gated.hot_swap.as_mut().unwrap().sessions_survived = 4;
-        assert!(gated.is_finite());
-    }
-
-    #[test]
-    fn slo_violations_name_the_failing_percentiles() {
-        let sorted = vec![Duration::from_millis(10)];
-        let measured = LatencySummary::from_sorted(&sorted);
-        let slo = ScaleSlo {
-            p50_ms: Some(5.0),
-            p90_ms: None,
-            p99_ms: Some(50.0),
-        };
-        assert!(slo.is_asserted());
-        let violations = slo.violations(&measured);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].0, "p50_ms");
-        assert!(!ScaleSlo::default().is_asserted());
+        // A session lost across the hot swap never finished on the model
+        // it pinned.
+        let mut bad = report();
+        bad.runs[0].sessions_completed = 1;
+        bad.runs[0].sessions_killed = 1;
+        assert_eq!(bad.failures(), ["run 0: sessions"]);
     }
 }

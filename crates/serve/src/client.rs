@@ -19,7 +19,7 @@ use crate::wire::encode_binary_frame;
 use metaseg::stream::{SegmentVerdict, SessionStats};
 use metaseg::DispersionPrecision;
 use metaseg_data::ProbMap;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -168,7 +168,8 @@ impl From<ProtocolError> for ClientError {
 /// The client remembers the resolved peer addresses, the negotiated frame
 /// format/dispersion and the per-session applied-frame counts, so the
 /// `*_with_retry` helpers can transparently reconnect, renegotiate and
-/// [`ServeClient::resume`] sessions after a connection fault.
+/// [`ServeClient::resume`] sessions after a connection fault — every
+/// session of the client, not only the one whose request hit the fault.
 #[derive(Debug)]
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
@@ -182,6 +183,10 @@ pub struct ServeClient {
     /// authoritative count). Lets `submit_with_retry` detect the
     /// applied-but-response-lost case without double-applying.
     acked: HashMap<u64, usize>,
+    /// Sessions bound to the current connection (opened or resumed on
+    /// it). A reconnect clears it; the `*_with_retry` helpers resume any
+    /// other session of `acked` before its next request.
+    bound: HashSet<u64>,
     reconnects: usize,
     jitter_state: u64,
 }
@@ -216,6 +221,7 @@ impl ServeClient {
             config,
             peers,
             acked: HashMap::new(),
+            bound: HashSet::new(),
             reconnects: 0,
         })
     }
@@ -373,6 +379,7 @@ impl ServeClient {
         )
         .inspect(|(session, _)| {
             self.acked.insert(*session, 0);
+            self.bound.insert(*session);
         })
     }
 
@@ -439,6 +446,7 @@ impl ServeClient {
         })
         .inspect(|_| {
             self.acked.remove(&session);
+            self.bound.remove(&session);
         })
     }
 
@@ -474,6 +482,7 @@ impl ServeClient {
         })
         .inspect(|frames| {
             self.acked.insert(session, *frames);
+            self.bound.insert(session);
         })
     }
 
@@ -493,6 +502,8 @@ impl ServeClient {
         self.reader = reader;
         self.writer = writer;
         self.reconnects += 1;
+        // The server orphaned every session of the old connection.
+        self.bound.clear();
         // A fresh connection starts on JSON/f64 server-side; restore the
         // negotiated terms before any frame goes out. `self.format` is only
         // trusted once the server confirms, so a failure here leaves the
@@ -533,6 +544,28 @@ impl ServeClient {
             .unwrap_or_else(|| ClientError::Protocol("reconnect attempts exhausted".to_string())))
     }
 
+    /// Resumes `session` on the current connection when a reconnect made
+    /// for another session left it orphaned. Retries an `unknown-session`
+    /// denial with backoff, as [`ServeClient::reestablish`] does; any other
+    /// failure reestablishes on a fresh connection.
+    fn rebind(&mut self, session: u64) -> Result<(), ClientError> {
+        if self.bound.contains(&session) || !self.acked.contains_key(&session) {
+            return Ok(());
+        }
+        let mut last: Option<ClientError> = None;
+        for attempt in 0..self.config.max_retries.max(1) {
+            match self.resume(session) {
+                Ok(_) => return Ok(()),
+                Err(e) if e.server_code() == Some(ErrorCode::UnknownSession) => {
+                    last = Some(e);
+                    self.backoff(attempt);
+                }
+                Err(_) => return self.reestablish(session).map(drop),
+            }
+        }
+        Err(last.unwrap_or_else(|| ClientError::Protocol("resume attempts exhausted".to_string())))
+    }
+
     /// Submits one frame, riding out transient failure: overload
     /// rejections back off and retry on the same connection; transport
     /// faults, timeouts, desynchronised replies and `bad-request` (a frame
@@ -541,7 +574,9 @@ impl ServeClient {
     /// suspect) reconnect, resume the session and — unless the server
     /// reports the frame as already applied — resubmit. The
     /// applied-but-response-lost case comes back as [`Submission::Applied`]
-    /// so the stream never double-applies a frame.
+    /// so the stream never double-applies a frame. A session left on an
+    /// earlier connection, when a fault on another session of this client
+    /// reconnected it, is resumed before the frame goes out.
     ///
     /// # Errors
     ///
@@ -552,6 +587,7 @@ impl ServeClient {
         session: u64,
         probs: &ProbMap,
     ) -> Result<Submission, ClientError> {
+        self.rebind(session)?;
         let expected = self.acked.get(&session).copied().unwrap_or(0);
         let mut last: Option<ClientError> = None;
         for attempt in 0..self.config.max_retries.max(1) {
@@ -606,7 +642,7 @@ impl ServeClient {
     pub fn close_with_retry(&mut self, session: u64) -> Result<Option<SessionStats>, ClientError> {
         let mut last: Option<ClientError> = None;
         for attempt in 0..self.config.max_retries.max(1) {
-            match self.close(session) {
+            match self.rebind(session).and_then(|()| self.close(session)) {
                 Ok(stats) => return Ok(Some(stats)),
                 Err(ClientError::Server {
                     code: ErrorCode::UnknownSession,

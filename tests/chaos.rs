@@ -307,6 +307,57 @@ fn session_survives_a_chaos_killed_connection_via_resume() {
 }
 
 #[test]
+fn every_session_of_a_client_survives_a_reconnect_made_for_another() {
+    // Two sessions share one client through torn wires, submitting frames
+    // alternately. A fault on one session's request reconnects the client,
+    // which orphans both sessions server-side; the other session must be
+    // resumed on the new connection before its next frame, not answered
+    // `unknown-session`.
+    let handle = spawn_server(chaos_server_config());
+    let proxy =
+        ChaosProxy::spawn(handle.local_addr(), FaultPlan::torn(), 16).expect("proxy bind succeeds");
+    let frames = [camera_frames(5), camera_frames(6)];
+    let reference = frames.each_ref().map(|f| in_process_verdicts(f));
+
+    let mut client = ServeClient::connect_with(proxy.local_addr(), chaos_client_config()).unwrap();
+    client
+        .negotiate(FrameFormat::Binary(ProbEncoding::F64))
+        .unwrap();
+    let sessions = [
+        client.open("default", "torn-cam-a").unwrap().0,
+        client.open("default", "torn-cam-b").unwrap().0,
+    ];
+    for index in 0..FRAMES {
+        for (camera, &session) in sessions.iter().enumerate() {
+            match client
+                .submit_with_retry(session, &frames[camera][index])
+                .unwrap_or_else(|e| panic!("camera {camera} frame {index}: {e}"))
+            {
+                Submission::Served { frame, verdicts } => {
+                    assert_eq!(frame, index);
+                    assert_eq!(
+                        verdicts, reference[camera][index].verdicts,
+                        "camera {camera} must stay bit-identical at frame {index}"
+                    );
+                }
+                Submission::Applied { frame } => assert_eq!(frame, index),
+            }
+        }
+    }
+    assert!(
+        client.reconnects() > 0,
+        "the torn plan must actually kill at least one connection"
+    );
+    for session in sessions {
+        client.close_with_retry(session).unwrap();
+    }
+
+    proxy.shutdown();
+    let stats = handle.shutdown();
+    assert_eq!(stats.frames_processed, 2 * FRAMES);
+}
+
+#[test]
 fn mid_frame_stalls_trip_the_read_deadline_and_idle_conns_expire() {
     let handle = spawn_server(ServerConfig {
         read_timeout_ms: 300,
