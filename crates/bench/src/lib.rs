@@ -8,10 +8,6 @@
 //!   `figures/`, plus the binaries behind the `BENCH_*.json` artifacts
 //!   (`extraction_profile`, `scenario_sweep`, `serve_loadtest`) and
 //!   `corpus_record`, which records the frame corpora they replay,
-//! * `benches/` contains Criterion micro benchmarks of the building blocks
-//!   (scene generation, metric construction, meta-model training, tracking,
-//!   decision rules, the streaming engine) plus two ablation benches
-//!   (`ablation_metrics`, `ablation_models`),
 //! * [`serve_fixture`] holds the shared fit-a-small-model fixture and the
 //!   simulated camera used by the serving demo, `corpus_record`,
 //!   `serve_loadtest` and the serve integration tests,

@@ -28,8 +28,7 @@
 //! the clip.
 //!
 //! The [`experiment`] module contains one runner per table/figure of the
-//! paper; the `metaseg-bench` crate wraps them in binaries and Criterion
-//! benchmarks.
+//! paper; the `metaseg-bench` crate wraps them in binaries.
 //!
 //! ```
 //! use metaseg::{MetaSeg, MetaSegConfig};

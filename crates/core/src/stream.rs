@@ -182,7 +182,7 @@ impl TrackWindows {
     }
 
     /// Current and peak occupancy of the store — the RSS proxy reported by
-    /// the streaming bench.
+    /// the `video_monitoring` example.
     pub fn stats(&self) -> WindowStats {
         WindowStats {
             live_tracks: self.windows.len(),
@@ -200,7 +200,7 @@ impl TrackWindows {
 /// `approx_bytes` counts the payload of the retained metric vectors (plus
 /// the per-entry frame tag) — a deliberate *proxy* for resident memory that
 /// moves with the windowed state and is exact enough to catch unbounded
-/// growth in benches and tests.
+/// growth in tests and examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WindowStats {
     /// Tracks currently holding at least one windowed observation.
@@ -506,17 +506,6 @@ impl MetaSegStream {
         FrameVerdicts { frame, verdicts }
     }
 
-    /// Pushes several frames through the engine **in order**, returning the
-    /// verdicts of each — the per-session half of the serving layer's
-    /// cross-session micro-batch: a worker that drained multiple queued
-    /// frames of one session submits them as one call.
-    ///
-    /// Defined as exactly repeated [`MetaSegStream::push_frame`] (pinned by
-    /// test), so batching can never change a verdict.
-    pub fn push_frames(&mut self, frames: &[Frame]) -> Vec<FrameVerdicts> {
-        frames.iter().map(|frame| self.push_frame(frame)).collect()
-    }
-
     /// Drains `source` to exhaustion and returns the report of *this drain*
     /// (counters are deltas against the engine state at entry, so reusing an
     /// engine across sources yields per-source reports). The batch path is
@@ -604,8 +593,7 @@ where
 }
 
 /// Serves many videos with one engine each, sharded across rayon workers:
-/// the convenience wrapper over [`shard_streams`] used by the experiment
-/// runner and the benches.
+/// the convenience wrapper over [`shard_streams`].
 ///
 /// # Errors
 ///
@@ -851,9 +839,9 @@ mod tests {
             let sim = NetworkSim::new(NetworkProfile::weak());
             VideoStream::open(&VideoConfig::small(), sim, 0, &mut rng).collect()
         };
-        // One engine, one multi-frame call vs. frame-by-frame pushes.
+        // One engine, one drain vs. frame-by-frame pushes.
         let mut batched = MetaSegStream::new(StreamConfig::default(), predictor.clone()).unwrap();
-        let batch_verdicts = batched.push_frames(&frames);
+        let batch_verdicts = batched.drain(frames.iter().cloned()).frame_verdicts;
         let mut sequential =
             MetaSegStream::new(StreamConfig::default(), predictor.clone()).unwrap();
         let sequential_verdicts: Vec<FrameVerdicts> =
@@ -876,21 +864,21 @@ mod tests {
                     .collect()
             })
             .collect();
-        // The serving layer's micro-batch shape: one in-order push_frames
-        // call per engine, engines fanned out across the rayon pool.
+        // Like the serve shards: each engine takes its own frames in order,
+        // and distinct engines run in parallel across the rayon pool.
         let mut parallel_engines = make_engines();
         let parallel_verdicts: Vec<Vec<FrameVerdicts>> = shard_streams(
             parallel_engines
                 .iter_mut()
                 .zip(frame_sets.iter().cloned())
                 .collect(),
-            |_, (engine, frames)| engine.push_frames(&frames),
+            |_, (engine, frames)| engine.drain(frames.into_iter()).frame_verdicts,
         );
         let mut serial_engines = make_engines();
         let serial_verdicts: Vec<Vec<FrameVerdicts>> = serial_engines
             .iter_mut()
             .zip(frame_sets.iter())
-            .map(|(engine, frames)| engine.push_frames(frames))
+            .map(|(engine, frames)| engine.drain(frames.iter().cloned()).frame_verdicts)
             .collect();
         assert_eq!(parallel_verdicts, serial_verdicts);
         for (parallel, serial) in parallel_engines.iter().zip(&serial_engines) {

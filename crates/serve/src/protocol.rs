@@ -89,7 +89,9 @@ pub enum Request {
     Open {
         /// Registry name of the model that should serve the session.
         model: String,
-        /// Free-form camera label, echoed in server-side statistics.
+        /// Free-form camera label for the client's own bookkeeping. The
+        /// server rejects a line that is not valid UTF-8 but keeps no copy
+        /// of the label.
         camera: String,
     },
     /// Submits the next frame of a session (a decoded softmax field).

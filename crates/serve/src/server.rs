@@ -43,7 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// Tuning knobs of a server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,9 +62,6 @@ pub struct ServerConfig {
     /// test knob emulating heavier models; `0` (the default) for real
     /// serving.
     pub synthetic_delay_ms: u64,
-    /// Poll timeout of the event loop; bounds how quickly shutdown is
-    /// observed when no traffic arrives.
-    pub poll_interval_ms: u64,
     /// Maximum accepted message length in bytes — the request-line cap of
     /// the JSON path and the payload cap of the binary path. A connection
     /// whose line grows past this without a newline, or whose binary header
@@ -107,7 +103,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             batch_max: 4,
             synthetic_delay_ms: 0,
-            poll_interval_ms: 25,
             // Generous for softmax payloads (a 500x300x19 frame is ~40 MiB
             // of JSON) while still bounding a hostile newline-free stream.
             max_line_bytes: 256 << 20,
@@ -117,12 +112,6 @@ impl Default for ServerConfig {
             read_timeout_ms: 10_000,
             session_linger_ms: 60_000,
         }
-    }
-}
-
-impl ServerConfig {
-    pub(crate) fn poll_interval(&self) -> Duration {
-        Duration::from_millis(self.poll_interval_ms.max(1))
     }
 }
 

@@ -33,13 +33,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-/// One camera session: the engine plus bookkeeping labels.
-pub(crate) struct Session {
-    pub(crate) engine: MetaSegStream,
-    #[allow(dead_code)]
-    pub(crate) camera: String,
-}
-
 /// Identifies one connection slot of the event loop across its lifetime.
 ///
 /// Slots are reused after a disconnect; the generation counter makes a stale
@@ -108,7 +101,7 @@ impl JobKind {
 /// submitting connection.
 pub(crate) struct Job {
     pub(crate) session_id: u64,
-    pub(crate) session: Arc<Mutex<Session>>,
+    pub(crate) session: Arc<Mutex<MetaSegStream>>,
     pub(crate) kind: JobKind,
     pub(crate) conn: ConnId,
     pub(crate) seq: u64,
@@ -243,7 +236,7 @@ impl Shard {
 /// One session's slice of a drained micro-batch: its jobs, in arrival order.
 struct SessionGroup {
     session_id: u64,
-    session: Arc<Mutex<Session>>,
+    session: Arc<Mutex<MetaSegStream>>,
     jobs: Vec<Job>,
 }
 
@@ -318,7 +311,7 @@ fn process_group(shard: &Shard, group: SessionGroup, completions: &Sender<Comple
 /// order. Returns the completions plus the number of frames processed.
 fn run_group(
     session_id: u64,
-    session: &Arc<Mutex<Session>>,
+    session: &Arc<Mutex<MetaSegStream>>,
     jobs: Vec<Job>,
     delay_ms: u64,
 ) -> (Vec<Completion>, usize) {
@@ -354,10 +347,10 @@ fn run_group(
             } => match payload {
                 JobPayload::Decoded(probs) => {
                     let frame = Frame::unlabeled(
-                        FrameId::new(session_id as usize, guard.engine.frames_seen()),
+                        FrameId::new(session_id as usize, guard.frames_seen()),
                         probs,
                     );
-                    let verdicts = guard.engine.push_frame(&frame);
+                    let verdicts = guard.push_frame(&frame);
                     processed += 1;
                     Response::Verdicts {
                         session: session_id,
@@ -366,7 +359,7 @@ fn run_group(
                     }
                 }
                 JobPayload::Encoded(payload) => {
-                    match guard.engine.push_payload(&payload, dispersion) {
+                    match guard.push_payload(&payload, dispersion) {
                         Ok(verdicts) => {
                             processed += 1;
                             Response::Verdicts {
@@ -383,15 +376,15 @@ fn run_group(
             },
             JobKind::Stats => Response::Stats {
                 session: session_id,
-                stats: guard.engine.session_stats(),
+                stats: guard.session_stats(),
             },
             JobKind::Resume => Response::Resumed {
                 session: session_id,
-                frames: guard.engine.frames_seen(),
+                frames: guard.frames_seen(),
             },
             JobKind::Close => Response::Closed {
                 session: session_id,
-                stats: guard.engine.session_stats(),
+                stats: guard.session_stats(),
             },
         };
         results.push(Completion {

@@ -27,8 +27,9 @@ use crate::protocol::{ErrorCode, FrameFormat, Request, Response};
 use crate::server::{
     bad_request, overloaded_error, shutting_down_error, unknown_session_error, ServerConfig, Shared,
 };
-use crate::shard::{Completion, ConnId, Job, JobKind, JobPayload, Session, Shard};
+use crate::shard::{Completion, ConnId, Job, JobKind, JobPayload, Shard};
 use crate::wire::{self, BinaryFrameHeader, BINARY_FRAME_MAGIC, BINARY_HEADER_LEN};
+use metaseg::stream::MetaSegStream;
 use metaseg::DispersionPrecision;
 use metaseg_data::SemanticClass;
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -47,6 +48,11 @@ const LISTENER: usize = 0;
 const WAKER: usize = 1;
 /// First token handed to client connections.
 const FIRST_CONN: usize = 2;
+
+/// Poll timeout of the event loop. It bounds only how late
+/// `enforce_deadlines` sweeps the read, idle and linger deadlines on a quiet
+/// server: shutdown wakes the poller through the waker and never waits on it.
+const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Deadline-heap entry kind: a connection's idle / mid-message deadline.
 const DL_CONN: u8 = 0;
@@ -288,7 +294,7 @@ enum ReadOutcome {
 /// and a reconnecting client re-attaches with `resume` any time before the
 /// linger expires.
 struct SessionEntry {
-    state: Arc<Mutex<Session>>,
+    state: Arc<Mutex<MetaSegStream>>,
     /// The connection currently allowed to drive this session; `None`
     /// while orphaned.
     owner: Option<ConnId>,
@@ -351,14 +357,13 @@ impl Transport {
     /// dropped.
     pub(crate) fn run(mut self) {
         let mut events = Events::with_capacity(256);
-        let timeout = self.shared.config.poll_interval();
         loop {
             let draining = self.shared.shutting_down.load(Ordering::SeqCst);
             if draining && self.outstanding == 0 {
                 self.final_flush();
                 return;
             }
-            if let Err(e) = self.poll.poll(&mut events, Some(timeout)) {
+            if let Err(e) = self.poll.poll(&mut events, Some(POLL_TIMEOUT)) {
                 if !fatal_poll_error(&e) {
                     continue;
                 }
@@ -782,7 +787,7 @@ impl Transport {
                 conn.dispersion = dispersion;
                 Some(Response::Negotiated { format, dispersion })
             }
-            Request::Open { model, camera } => {
+            Request::Open { model, .. } => {
                 if self.shared.shutting_down.load(Ordering::SeqCst) {
                     return Some(shutting_down_error());
                 }
@@ -798,7 +803,7 @@ impl Transport {
                 self.sessions.insert(
                     session,
                     SessionEntry {
-                        state: Arc::new(Mutex::new(Session { engine, camera })),
+                        state: Arc::new(Mutex::new(engine)),
                         owner: Some(conn.id),
                         orphaned_at: None,
                     },
@@ -885,7 +890,7 @@ impl Transport {
     /// only when the session exists *and* this connection owns it. A
     /// session orphaned or owned elsewhere answers as unknown — ownership
     /// is transferred explicitly by `resume`, never implicitly by use.
-    fn owned_state(&self, conn: &Conn, session: u64) -> Option<Arc<Mutex<Session>>> {
+    fn owned_state(&self, conn: &Conn, session: u64) -> Option<Arc<Mutex<MetaSegStream>>> {
         self.sessions
             .get(&session)
             .filter(|entry| entry.owner == Some(conn.id))
