@@ -62,12 +62,6 @@ impl FalseNegativeReport {
     pub fn ml_reduces_missed_segments(&self) -> bool {
         self.maximum_likelihood.missed_segments <= self.bayes.missed_segments
     }
-
-    /// Whether Bayes produces fewer false-positive segments than ML (the
-    /// price of the higher recall).
-    pub fn bayes_has_fewer_false_positives(&self) -> bool {
-        self.bayes.false_positive_segments <= self.maximum_likelihood.false_positive_segments
-    }
 }
 
 /// Estimates pixel-wise priors from the ground truth of labelled frames.

@@ -76,6 +76,5 @@ pub use pipeline::{
     ExtractionScratch, FrameBatch, ScratchStats,
 };
 pub use stream::{
-    process_videos, shard_streams, FrameVerdicts, MetaSegStream, SegmentVerdict, StreamConfig,
-    StreamReport, WindowStats,
+    FrameVerdicts, MetaSegStream, SegmentVerdict, StreamConfig, StreamReport, WindowStats,
 };

@@ -47,11 +47,6 @@ pub enum FeatureSet {
     All,
     /// Only the mean segment entropy — the paper's entropy baseline.
     EntropyOnly,
-    /// Only the geometry metrics (size, boundary, fractality) — used by the
-    /// metric-ablation benchmark.
-    GeometryOnly,
-    /// Only dispersion metrics (entropy / margin / variation ratio aggregates).
-    DispersionOnly,
 }
 
 impl FeatureSet {
@@ -69,8 +64,6 @@ impl FeatureSet {
         match self {
             FeatureSet::All => metrics.to_vec(),
             FeatureSet::EntropyOnly => vec![metrics[0]],
-            FeatureSet::GeometryOnly => metrics[9..15].to_vec(),
-            FeatureSet::DispersionOnly => metrics[0..9].to_vec(),
         }
     }
 
@@ -79,8 +72,6 @@ impl FeatureSet {
         match self {
             FeatureSet::All => "all metrics",
             FeatureSet::EntropyOnly => "entropy only",
-            FeatureSet::GeometryOnly => "geometry only",
-            FeatureSet::DispersionOnly => "dispersion only",
         }
     }
 }
@@ -265,8 +256,6 @@ mod tests {
         let metrics: Vec<f64> = (0..METRIC_COUNT).map(|i| i as f64).collect();
         assert_eq!(FeatureSet::All.select(&metrics).len(), METRIC_COUNT);
         assert_eq!(FeatureSet::EntropyOnly.select(&metrics), vec![0.0]);
-        assert_eq!(FeatureSet::GeometryOnly.select(&metrics).len(), 6);
-        assert_eq!(FeatureSet::DispersionOnly.select(&metrics).len(), 9);
         assert_eq!(FeatureSet::All.name(), "all metrics");
     }
 

@@ -70,9 +70,9 @@
 //! * [`extract_frame`] (a [`ProbMap`] plus an owned scratch — what
 //!   `MetaSegStream::push_frame` calls) and [`extract_frame_payload`] (a
 //!   wire payload — what `MetaSegStream::push_payload` calls) band by
-//!   [`auto_band_count`]. `process_videos` and the serve micro-batch
-//!   dispatch reach these through the stream, so a large frame there bands
-//!   on top of the frame-level fan-out.
+//!   [`auto_band_count`]. The serve micro-batch dispatch reaches these
+//!   through the stream, so a large frame there bands on top of the
+//!   session-level fan-out.
 //!
 //! The band count is a pure function of frame shape and machine, never of
 //! load or calling context, so a frame's exact float output is reproducible
@@ -375,12 +375,12 @@ thread_local! {
 ///   everywhere;
 /// * [`extract_frame`] and [`extract_frame_payload`] use this count. They
 ///   are what every `MetaSegStream` push calls, so one session driving one
-///   camera gains intra-frame multi-core scaling — and so do
-///   `process_videos` and the serve micro-batch dispatch, which fan out
-///   sessions. Running many sessions concurrently oversubscribes by at
-///   most `min(threads, MAX_BANDS)` bands each, a throughput trade-off that
-///   never changes any output bit. No `servebench` workload bands: its
-///   largest frame (`hires`, 192×96) is under `2 * MIN_BAND_PIXELS`.
+///   camera gains intra-frame multi-core scaling — and so does the serve
+///   micro-batch dispatch, which fans out sessions. Running many sessions
+///   concurrently oversubscribes by at most `min(threads, MAX_BANDS)` bands
+///   each, a throughput trade-off that never changes any output bit. No
+///   `servebench` workload bands: its largest frame (`hires`, 192×96) is
+///   under `2 * MIN_BAND_PIXELS`.
 ///
 /// Public so the `extraction_profile` bench reports the exact count the
 /// kernel will use.

@@ -27,8 +27,8 @@
 //! streaming verdicts are bit-identical to scoring the batch dataset rows —
 //! the differential test in `tests/streaming.rs` pins this.
 //!
-//! Multi-camera serving fans out with [`shard_streams`] /
-//! [`process_videos`]: one engine per video, sharded across rayon workers.
+//! One engine serves one camera. Multi-camera serving runs one engine per
+//! session on the `metaseg-serve` shard workers.
 
 use crate::error::MetaSegError;
 use crate::metrics::{MetricsConfig, SegmentRecord, METRIC_COUNT};
@@ -40,7 +40,6 @@ use metaseg_data::{DataError, Frame, LabelMap, ProbPayload, SemanticClass};
 use metaseg_learners::MetaPredictor;
 use metaseg_sim::FrameSource;
 use metaseg_tracking::{IncrementalTracker, TrackerConfig};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
@@ -576,46 +575,6 @@ fn validated_series_length(
     Ok(series_length)
 }
 
-/// Runs one worker per source across the rayon pool and collects the results
-/// in source order — the multi-camera fan-out primitive. `worker` receives
-/// the source index and the source by value.
-pub fn shard_streams<S, R, F>(sources: Vec<S>, worker: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, S) -> R + Sync,
-{
-    let indexed: Vec<(usize, S)> = sources.into_iter().enumerate().collect();
-    indexed
-        .into_par_iter()
-        .map(|(index, source)| worker(index, source))
-        .collect()
-}
-
-/// Serves many videos with one engine each, sharded across rayon workers:
-/// the convenience wrapper over [`shard_streams`].
-///
-/// # Errors
-///
-/// Returns [`MetaSegError::InvalidConfig`] if `predictor` does not fit
-/// `config` (validated once, before any worker starts).
-pub fn process_videos<S>(
-    sources: Vec<S>,
-    config: StreamConfig,
-    predictor: &MetaPredictor,
-) -> Result<Vec<StreamReport>, MetaSegError>
-where
-    S: FrameSource + Send,
-{
-    // Validate once (without cloning the fitted models) so workers can unwrap.
-    validated_series_length(&config, predictor.feature_dim())?;
-    Ok(shard_streams(sources, |_, source| {
-        let mut engine = MetaSegStream::new(config, predictor.clone())
-            .expect("configuration validated before sharding");
-        engine.drain(source)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,42 +807,6 @@ mod tests {
             frames.iter().map(|f| sequential.push_frame(f)).collect();
         assert_eq!(batch_verdicts, sequential_verdicts);
         assert_eq!(batched.session_stats(), sequential.session_stats());
-
-        // Several engines fanned out in parallel vs. served one by one.
-        let make_engines = || -> Vec<MetaSegStream> {
-            (0..3)
-                .map(|_| MetaSegStream::new(StreamConfig::default(), predictor.clone()).unwrap())
-                .collect()
-        };
-        let frame_sets: Vec<Vec<Frame>> = (0..3)
-            .map(|camera| {
-                let mut rng = StdRng::seed_from_u64(60 + camera);
-                let sim = NetworkSim::new(NetworkProfile::weak());
-                VideoStream::open(&VideoConfig::small(), sim, camera as usize, &mut rng)
-                    .take(4)
-                    .collect()
-            })
-            .collect();
-        // Like the serve shards: each engine takes its own frames in order,
-        // and distinct engines run in parallel across the rayon pool.
-        let mut parallel_engines = make_engines();
-        let parallel_verdicts: Vec<Vec<FrameVerdicts>> = shard_streams(
-            parallel_engines
-                .iter_mut()
-                .zip(frame_sets.iter().cloned())
-                .collect(),
-            |_, (engine, frames)| engine.drain(frames.into_iter()).frame_verdicts,
-        );
-        let mut serial_engines = make_engines();
-        let serial_verdicts: Vec<Vec<FrameVerdicts>> = serial_engines
-            .iter_mut()
-            .zip(frame_sets.iter())
-            .map(|(engine, frames)| engine.drain(frames.iter().cloned()).frame_verdicts)
-            .collect();
-        assert_eq!(parallel_verdicts, serial_verdicts);
-        for (parallel, serial) in parallel_engines.iter().zip(&serial_engines) {
-            assert_eq!(parallel.session_stats(), serial.session_stats());
-        }
     }
 
     /// One engine session (one [`ExtractionScratch`]) fed frames of two
@@ -1008,30 +931,5 @@ mod tests {
         assert_eq!(stats.tracks_created, engine.tracks_created());
         assert_eq!(stats.window, engine.window_stats());
         assert!(stats.frames == 12 && stats.verdicts > 0);
-    }
-
-    #[test]
-    fn sharded_processing_matches_sequential() {
-        let predictor = fitted_predictor(2);
-        let sources = |seed_base: u64| -> Vec<VideoStream> {
-            (0..3)
-                .map(|i| {
-                    let mut rng = StdRng::seed_from_u64(seed_base + i as u64);
-                    let sim = NetworkSim::new(NetworkProfile::weak());
-                    VideoStream::open(&VideoConfig::small(), sim, i, &mut rng)
-                })
-                .collect()
-        };
-        let sharded = process_videos(sources(7), StreamConfig::default(), &predictor).unwrap();
-        let sequential: Vec<StreamReport> = sources(7)
-            .into_iter()
-            .map(|s| {
-                MetaSegStream::new(StreamConfig::default(), predictor.clone())
-                    .unwrap()
-                    .drain(s)
-            })
-            .collect();
-        assert_eq!(sharded, sequential);
-        assert_eq!(sharded.len(), 3);
     }
 }

@@ -5,7 +5,7 @@
 //! prior heat maps (Fig. 4) and simple CDF line plots (Fig. 5).
 
 use crate::metrics::SegmentRecord;
-use metaseg_data::{ClassCatalog, LabelMap, SemanticClass};
+use metaseg_data::{ClassCatalog, LabelMap};
 use metaseg_imgproc::{Color, ColorMap, Connectivity, Grid, Ppm};
 
 /// Renders a label map with the Cityscapes-like class palette.
@@ -116,16 +116,11 @@ pub fn render_cdf_plot(
     image
 }
 
-/// Colour used for the class of interest in mask overlays.
-pub fn class_color(class: SemanticClass) -> Color {
-    ClassCatalog::cityscapes_like().color(class)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{segment_metrics, MetricsConfig};
-    use metaseg_data::ProbMap;
+    use metaseg_data::{ProbMap, SemanticClass};
 
     #[test]
     fn label_rendering_uses_palette_colors() {

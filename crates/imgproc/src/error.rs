@@ -23,13 +23,6 @@ pub enum GridError {
         /// Length of the provided buffer.
         found: usize,
     },
-    /// Two grids that must share a shape do not.
-    ShapeMismatch {
-        /// Shape of the first grid `(width, height)`.
-        left: (usize, usize),
-        /// Shape of the second grid `(width, height)`.
-        right: (usize, usize),
-    },
     /// A crop or window does not fit inside the grid.
     WindowOutOfBounds {
         /// Grid shape `(width, height)`.
@@ -56,11 +49,6 @@ impl fmt::Display for GridError {
             GridError::LengthMismatch { expected, found } => write!(
                 f,
                 "flat buffer has length {found}, expected width*height = {expected}"
-            ),
-            GridError::ShapeMismatch { left, right } => write!(
-                f,
-                "grid shapes differ: {}x{} vs {}x{}",
-                left.0, left.1, right.0, right.1
             ),
             GridError::WindowOutOfBounds {
                 shape,
@@ -98,16 +86,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GridError>();
-    }
-
-    #[test]
-    fn shape_mismatch_message_mentions_both_shapes() {
-        let err = GridError::ShapeMismatch {
-            left: (10, 20),
-            right: (30, 40),
-        };
-        let text = err.to_string();
-        assert!(text.contains("10x20"));
-        assert!(text.contains("30x40"));
     }
 }

@@ -226,11 +226,6 @@ impl<T> Grid<T> {
         &mut self.data
     }
 
-    /// Consumes the grid and returns the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Iterator over `((x, y), &value)` pairs in row-major order.
     pub fn iter_pixels(&self) -> impl Iterator<Item = ((usize, usize), &T)> {
         let width = self.width;
@@ -257,34 +252,6 @@ impl<T> Grid<T> {
             height: self.height,
             data: self.data.iter().map(f).collect(),
         }
-    }
-
-    /// Combines two same-shaped grids element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::ShapeMismatch`] if the shapes differ.
-    pub fn zip_with<U, V>(
-        &self,
-        other: &Grid<U>,
-        mut f: impl FnMut(&T, &U) -> V,
-    ) -> Result<Grid<V>, GridError> {
-        if self.shape() != other.shape() {
-            return Err(GridError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        Ok(Grid {
-            width: self.width,
-            height: self.height,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| f(a, b))
-                .collect(),
-        })
     }
 
     /// The 4-neighbourhood of `(x, y)` clipped to the grid.
@@ -397,11 +364,6 @@ impl<T: Clone + PartialEq> Grid<T> {
     pub fn count_equal(&self, value: &T) -> usize {
         self.data.iter().filter(|v| *v == value).count()
     }
-
-    /// Boolean mask of pixels equal to `value`.
-    pub fn mask_of(&self, value: &T) -> Grid<bool> {
-        self.map(|v| v == value)
-    }
 }
 
 impl Grid<f64> {
@@ -506,18 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip_with() {
-        let a = Grid::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = a.map(|v| v * 2.0);
-        assert_eq!(b.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
-        let c = a.zip_with(&b, |x, y| x + y).unwrap();
-        assert_eq!(c.as_slice(), &[3.0, 6.0, 9.0, 12.0]);
-
-        let d = Grid::filled(3, 2, 0.0);
-        assert!(a.zip_with(&d, |x, y| x + y).is_err());
-    }
-
-    #[test]
     fn neighbors_are_clipped() {
         let g = Grid::filled(3, 3, 0u8);
         assert_eq!(g.neighbors4(0, 0).len(), 2);
@@ -548,7 +498,7 @@ mod tests {
     fn count_and_mask() {
         let g = Grid::from_rows(vec![vec![1, 2, 1], vec![1, 0, 2]]).unwrap();
         assert_eq!(g.count_equal(&1), 3);
-        let m = g.mask_of(&2);
+        let m = g.map(|v| *v == 2);
         assert_eq!(m.count_equal(&true), 2);
     }
 

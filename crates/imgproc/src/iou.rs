@@ -1,10 +1,9 @@
-//! Intersection-over-union between pixel sets and boolean masks.
+//! Intersection-over-union between pixel sets.
 //!
 //! The IoU of a predicted segment with the union of ground-truth segments of
 //! the same class is the target quantity of meta regression (eq. (2) of the
 //! paper); `IoU = 0` vs `IoU > 0` is the meta-classification label.
 
-use crate::grid::Grid;
 use std::collections::HashSet;
 
 /// A set of pixel coordinates, used for sparse set operations.
@@ -21,47 +20,6 @@ pub fn iou(a: &PixelSet, b: &PixelSet) -> f64 {
     let intersection = a.intersection(b).count() as f64;
     let union = (a.len() + b.len()) as f64 - intersection;
     intersection / union
-}
-
-/// Adjusted IoU from the MetaSeg paper's companion implementation: the union
-/// is restricted to ground-truth pixels that are "seen", i.e. it ignores the
-/// part of the ground-truth component that lies far outside the prediction.
-///
-/// Given the predicted segment `pred`, the matching ground truth pixels `gt`
-/// and the set of ground-truth pixels belonging to components that intersect
-/// `pred` (`gt_touching`), the adjusted IoU divides the intersection by
-/// `|pred ∪ gt_touching|` instead of `|pred ∪ gt|`. With
-/// `gt_touching == gt` this reduces to the plain [`iou`].
-pub fn iou_adjusted(pred: &PixelSet, gt: &PixelSet, gt_touching: &PixelSet) -> f64 {
-    if pred.is_empty() && gt.is_empty() {
-        return 0.0;
-    }
-    let intersection = pred.intersection(gt).count() as f64;
-    let union = pred.union(gt_touching).count() as f64;
-    if union == 0.0 {
-        return 0.0;
-    }
-    intersection / union
-}
-
-/// Boolean-mask intersection (logical AND) of two same-shaped masks.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn mask_intersection(a: &Grid<bool>, b: &Grid<bool>) -> Grid<bool> {
-    a.zip_with(b, |x, y| *x && *y)
-        .expect("mask_intersection requires same-shaped masks")
-}
-
-/// Boolean-mask union (logical OR) of two same-shaped masks.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn mask_union(a: &Grid<bool>, b: &Grid<bool>) -> Grid<bool> {
-    a.zip_with(b, |x, y| *x || *y)
-        .expect("mask_union requires same-shaped masks")
 }
 
 #[cfg(test)]
@@ -98,34 +56,6 @@ mod tests {
         let b = set(&[(1, 0), (2, 0)]);
         // intersection 1, union 3
         assert!((iou(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adjusted_iou_reduces_to_plain_when_touching_equals_gt() {
-        let pred = set(&[(0, 0), (1, 0), (2, 0)]);
-        let gt = set(&[(1, 0), (2, 0), (3, 0)]);
-        let plain = iou(&pred, &gt);
-        let adjusted = iou_adjusted(&pred, &gt, &gt);
-        assert!((plain - adjusted).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adjusted_iou_is_at_least_plain_iou() {
-        let pred = set(&[(0, 0), (1, 0)]);
-        let gt = set(&[(1, 0), (2, 0), (3, 0), (4, 0)]);
-        // only the part of gt close to pred counts towards the union
-        let touching = set(&[(1, 0), (2, 0)]);
-        assert!(iou_adjusted(&pred, &gt, &touching) >= iou(&pred, &gt));
-    }
-
-    #[test]
-    fn mask_ops() {
-        let a = Grid::from_rows(vec![vec![true, false], vec![true, true]]).unwrap();
-        let b = Grid::from_rows(vec![vec![true, true], vec![false, true]]).unwrap();
-        let inter = mask_intersection(&a, &b);
-        let uni = mask_union(&a, &b);
-        assert_eq!(inter.count_equal(&true), 2);
-        assert_eq!(uni.count_equal(&true), 4);
     }
 
     proptest! {

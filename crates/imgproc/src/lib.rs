@@ -13,7 +13,7 @@
 //!   predicted class mask),
 //! * [`inner_boundary`] / [`boundary_length`] — inner-boundary extraction
 //!   and boundary length,
-//! * [`iou`] — intersection-over-union between pixel sets and masks,
+//! * [`iou`] — intersection-over-union between pixel sets,
 //! * [`resize_nearest`] / [`resize_bilinear`] — resampling (used by the
 //!   nested multi-resolution variant of MetaSeg),
 //! * [`Ppm`] / [`ColorMap`] — tiny PPM/PGM writers and colour maps so that
@@ -40,7 +40,6 @@ mod components;
 mod error;
 mod grid;
 mod iou;
-mod morphology;
 mod render;
 mod resize;
 
@@ -48,7 +47,6 @@ pub use boundary::{boundary_length, boundary_mask, inner_boundary, interior_mask
 pub use components::{connected_components, ComponentLabels, Connectivity, Labeler, Region};
 pub use error::GridError;
 pub use grid::Grid;
-pub use iou::{iou, iou_adjusted, mask_intersection, mask_union, PixelSet};
-pub use morphology::{dilate, distance_to_boundary, erode};
+pub use iou::{iou, PixelSet};
 pub use render::{Color, ColorMap, Ppm};
 pub use resize::{resize_bilinear, resize_nearest, CropWindow};

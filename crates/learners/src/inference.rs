@@ -176,8 +176,8 @@ impl MetaPredictor {
         raw.iter().map(|row| self.predict_iou_one(row)).collect()
     }
 
-    /// Serializes the handle to compact JSON — the checkpoint format consumed
-    /// by model registries and worker fleets. [`MetaPredictor::from_json`]
+    /// Serializes the handle to compact JSON — the document a checkpoint
+    /// container wraps ([`Self::to_container_bytes`]). [`MetaPredictor::from_json`]
     /// inverts it exactly: the round-trip reproduces bit-identical
     /// predictions (floats are rendered in shortest-round-trip form).
     pub fn to_json(&self) -> String {
@@ -207,34 +207,19 @@ impl MetaPredictor {
             .expect("checkpoint documents are far below the container chunk cap")
     }
 
-    /// Reconstructs a handle from a binary checkpoint container.
+    /// Reconstructs a handle from a binary checkpoint container — the one
+    /// checkpoint form a registry loads.
     ///
     /// # Errors
     ///
-    /// Returns [`LearnError::InvalidModel`] when the container is truncated,
+    /// Returns [`LearnError::InvalidModel`] when the bytes are not a
+    /// container (bare JSON included), or the container is truncated,
     /// corrupt (CRC mismatch), of the wrong kind or version, or when the
     /// embedded JSON does not describe a predictor.
     pub fn from_container_bytes(bytes: &[u8]) -> Result<Self, LearnError> {
         let json = container::read_checkpoint(bytes)
             .map_err(|e| LearnError::InvalidModel(format!("checkpoint container: {e}")))?;
         Self::from_json(&json)
-    }
-
-    /// Reconstructs a handle from either checkpoint form, sniffing the magic:
-    /// binary containers route through [`Self::from_container_bytes`], any
-    /// other bytes are treated as UTF-8 JSON ([`Self::from_json`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LearnError::InvalidModel`] when the bytes decode as neither.
-    pub fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, LearnError> {
-        if container::is_container(bytes) {
-            Self::from_container_bytes(bytes)
-        } else {
-            let json = std::str::from_utf8(bytes)
-                .map_err(|e| LearnError::InvalidModel(format!("checkpoint is not UTF-8: {e}")))?;
-            Self::from_json(json)
-        }
     }
 }
 
@@ -341,17 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_sniffing_routes_both_formats() {
-        let predictor = toy_predictor();
-        let json = predictor.to_json();
-        let restored = MetaPredictor::from_checkpoint_bytes(json.as_bytes()).unwrap();
-        assert_eq!(restored, predictor);
-        let restored =
-            MetaPredictor::from_checkpoint_bytes(&predictor.to_container_bytes()).unwrap();
-        assert_eq!(restored, predictor);
-    }
-
-    #[test]
     fn corrupt_container_checkpoints_are_rejected_not_panicked_on() {
         let predictor = toy_predictor();
         let bytes = predictor.to_container_bytes();
@@ -366,8 +340,14 @@ mod tests {
         }
         // Truncation at every boundary is a typed error, never a panic.
         for cut in 0..bytes.len() {
-            assert!(MetaPredictor::from_checkpoint_bytes(&bytes[..cut]).is_err());
+            assert!(MetaPredictor::from_container_bytes(&bytes[..cut]).is_err());
         }
+        // Bare JSON is not a checkpoint: a typed error, not a fallback.
+        let json = predictor.to_json();
+        assert!(matches!(
+            MetaPredictor::from_container_bytes(json.as_bytes()),
+            Err(LearnError::InvalidModel(msg)) if msg.contains("not a container")
+        ));
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The chunked grid container — one byte format for golden corpora,
-//! checkpoints and on-disk frame corpora.
+//! The chunked container — one byte format for checkpoints, frame corpora
+//! and golden record corpora.
 //!
 //! Three subsystems used to hand-roll their own byte layouts: the golden
 //! oracle (JSONL), `MetaPredictor` checkpoints (bare JSON) and the binary
 //! wire payloads. This module unifies their on-disk form: a versioned,
 //! chunked, optionally-compressed container whose payload chunks carry a
 //! CRC-32 each ([`crate::crc32`], shared with the wire protocol), so every
-//! consumer gets the same corruption detection, the same typed errors and —
-//! for grid payloads — band-parallel decoding for free.
+//! consumer gets the same corruption detection and the same typed errors.
 //!
 //! ## Container layout
 //!
@@ -18,7 +17,7 @@
 //! offset len  field
 //! 0      4    magic      "MSGC"
 //! 4      1    version    1
-//! 5      1    kind       0 = grid | 1 = checkpoint | 2 = frame corpus |
+//! 5      1    kind       1 = checkpoint | 2 = frame corpus |
 //!                        3 = record corpus        (ContainerKind tag)
 //! 6      1    flags      bit 0: chunks may be PackBits-compressed
 //! 7      1    reserved   must be 0
@@ -36,52 +35,42 @@
 //! 16     …    stored bytes
 //! ```
 //!
-//! A *grid* container holds one [`ProbPayload`]: a 16-byte grid descriptor
-//! (width, height, channels as `u32`; encoding tag, band count, reserved
-//! `u16`), then one chunk per horizontal band — the same even row partition
-//! as the extraction kernel's band-parallel scratch — so bands verify and
-//! decompress on independent threads:
+//! A *checkpoint* wraps a predictor's canonical JSON in a single checksummed
+//! [`TAG_CHECKPOINT`] chunk:
 //!
 //! ```
-//! use metaseg_data::container::{self, CHUNK_HEADER_LEN, CONTAINER_HEADER_LEN};
-//! use metaseg_data::{crc32, ProbEncoding, ProbMap, ProbPayload};
+//! use metaseg_data::container::{self, CHUNK_HEADER_LEN, CONTAINER_HEADER_LEN, TAG_CHECKPOINT};
+//! use metaseg_data::crc32;
 //!
-//! let map = ProbMap::uniform(4, 2, 3);
-//! let payload = ProbPayload::encode(&map, ProbEncoding::F64);
-//! let bytes = container::write_grid(&payload, 2, false).unwrap();
+//! let json = r#"{"classifier":"logistic"}"#;
+//! let bytes = container::write_checkpoint(json, false).unwrap();
 //!
-//! // 8-byte file header: magic, version 1, kind 0 (grid), flags, reserved…
+//! // 8-byte file header: magic, version 1, kind 1 (checkpoint), flags, reserved…
 //! assert_eq!(&bytes[0..4], b"MSGC");
-//! assert_eq!(&bytes[4..8], &[1, 0, 0, 0]);
-//! // …16-byte grid descriptor: shape, encoding tag, band count…
-//! assert_eq!(&bytes[8..12], &4u32.to_le_bytes());
-//! assert_eq!(&bytes[12..16], &2u32.to_le_bytes());
-//! assert_eq!(&bytes[16..20], &3u32.to_le_bytes());
-//! assert_eq!(&bytes[20..24], &[ProbEncoding::F64.tag(), 2, 0, 0]);
-//! // …then one chunk per band. Band 0 covers one of the two rows: tag 0,
-//! // 4 * 3 f64 values stored raw (stored_len == raw_len), CRC-32 last.
-//! let row_bytes = 4 * 3 * 8u32;
-//! assert_eq!(&bytes[24..28], &0u32.to_le_bytes());
-//! assert_eq!(&bytes[28..32], &row_bytes.to_le_bytes());
-//! assert_eq!(&bytes[32..36], &row_bytes.to_le_bytes());
-//! let body_start = CONTAINER_HEADER_LEN + 16 + CHUNK_HEADER_LEN;
-//! let body = &bytes[body_start..body_start + row_bytes as usize];
-//! assert_eq!(&bytes[36..40], &crc32(body).to_le_bytes());
-//! // …and the whole container decodes back bit-identically.
-//! assert_eq!(container::read_grid(&bytes).unwrap(), payload);
+//! assert_eq!(&bytes[4..8], &[1, 1, 0, 0]);
+//! // …then one chunk: the checkpoint tag, the JSON stored raw
+//! // (stored_len == raw_len), CRC-32 last.
+//! let len = json.len() as u32;
+//! assert_eq!(&bytes[8..12], &TAG_CHECKPOINT.to_le_bytes());
+//! assert_eq!(&bytes[12..16], &len.to_le_bytes());
+//! assert_eq!(&bytes[16..20], &len.to_le_bytes());
+//! let body = &bytes[CONTAINER_HEADER_LEN + CHUNK_HEADER_LEN..];
+//! assert_eq!(body, json.as_bytes());
+//! assert_eq!(&bytes[20..24], &crc32(body).to_le_bytes());
+//! // …and the container decodes back to the same text.
+//! assert_eq!(container::read_checkpoint(&bytes).unwrap(), json);
 //! ```
 //!
 //! A *frame corpus* is a stream of frames, each a 32-byte frame descriptor
-//! chunk ([`TAG_FRAME`]: sequence and index as `u64`, the grid descriptor
-//! fields, a flag for attached ground truth), the band chunks of the
+//! chunk ([`TAG_FRAME`]: sequence and index as `u64`; width, height and
+//! channels as `u32`; the encoding tag, the band count, a flag for attached
+//! ground truth and a reserved byte), one chunk per horizontal band of the
 //! prediction payload, and optionally one [`TAG_GROUND_TRUTH`] chunk of
 //! `u16` class ids. End of stream is only valid at a frame boundary, so a
 //! torn file is a typed [`ContainerError::Truncated`], never a short read. A
-//! *checkpoint* wraps a predictor's canonical JSON in a single checksummed
-//! [`TAG_CHECKPOINT`] chunk; a *record corpus* holds one chunk per oracle
-//! record (tag = record index). Decoding is *total*: no input, however
-//! corrupt, panics, and every header length is bounded before anything is
-//! allocated from untrusted bytes.
+//! *record corpus* holds one chunk per oracle record (tag = record index).
+//! Decoding is *total*: no input, however corrupt, panics, and every header
+//! length is bounded before anything is allocated from untrusted bytes.
 
 use crate::crc::crc32;
 use crate::error::DataError;
@@ -104,8 +93,8 @@ pub const CONTAINER_HEADER_LEN: usize = 8;
 /// Size of a chunk header in bytes.
 pub const CHUNK_HEADER_LEN: usize = 16;
 
-/// Size of the grid descriptor that follows a grid container's header.
-pub const GRID_DESC_LEN: usize = 16;
+/// Size of the shape descriptor inside a frame descriptor.
+const SHAPE_DESC_LEN: usize = 16;
 
 /// Size of a frame descriptor chunk's decompressed body.
 pub const FRAME_DESC_LEN: usize = 32;
@@ -119,8 +108,8 @@ pub const TAG_GROUND_TRUTH: u32 = 0xFFFF_FF02;
 /// Chunk tag of the single JSON chunk in a checkpoint container.
 pub const TAG_CHECKPOINT: u32 = 0xFFFF_FF03;
 
-/// Default cap on a decoded grid payload (1 GiB): headers declaring more are
-/// rejected before any allocation.
+/// Cap on one frame's decoded payload (1 GiB): descriptors declaring more
+/// are rejected before any allocation.
 pub const MAX_GRID_BYTES: u64 = 1 << 30;
 
 /// Default cap on a decompressed text chunk (checkpoint JSON, oracle
@@ -136,8 +125,6 @@ const FRAME_FLAG_GROUND_TRUTH: u8 = 0b0000_0001;
 /// What a container holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerKind {
-    /// One probability-field payload, split into band chunks.
-    Grid,
     /// One serialized `MetaPredictor` (canonical JSON in a single chunk).
     Checkpoint,
     /// A stream of frames (predictions plus optional ground truth).
@@ -150,17 +137,16 @@ impl ContainerKind {
     /// The one-byte header tag of the kind.
     pub fn tag(self) -> u8 {
         match self {
-            ContainerKind::Grid => 0,
             ContainerKind::Checkpoint => 1,
             ContainerKind::FrameCorpus => 2,
             ContainerKind::RecordCorpus => 3,
         }
     }
 
-    /// Parses a header tag.
+    /// Parses a header tag. Tag 0 is never assigned: it named a retired
+    /// single-payload kind, so such files are rejected, not misread.
     pub fn from_tag(tag: u8) -> Option<Self> {
         Some(match tag {
-            0 => ContainerKind::Grid,
             1 => ContainerKind::Checkpoint,
             2 => ContainerKind::FrameCorpus,
             3 => ContainerKind::RecordCorpus,
@@ -171,7 +157,6 @@ impl ContainerKind {
     /// Human-readable name of the kind.
     pub fn name(self) -> &'static str {
         match self {
-            ContainerKind::Grid => "grid",
             ContainerKind::Checkpoint => "checkpoint",
             ContainerKind::FrameCorpus => "frame-corpus",
             ContainerKind::RecordCorpus => "record-corpus",
@@ -362,16 +347,8 @@ impl From<DataError> for ContainerError {
     }
 }
 
-/// Whether `bytes` start like a container (magic sniff only) — the cheap
-/// routing test loaders use to pick between the container and a readable
-/// fallback format such as bare JSON.
-pub fn is_container(bytes: &[u8]) -> bool {
-    bytes.len() >= CONTAINER_MAGIC.len() && bytes[..CONTAINER_MAGIC.len()] == CONTAINER_MAGIC
-}
-
 /// Rows `[start, end)` of band `band` in the even `bands`-way horizontal
-/// partition of `height` rows — the same split the band-parallel extraction
-/// scratch uses, so corpus chunks line up with decode parallelism.
+/// partition of `height` rows.
 fn band_rows(band: usize, bands: usize, height: usize) -> (usize, usize) {
     (band * height / bands, (band + 1) * height / bands)
 }
@@ -681,60 +658,19 @@ fn chunk_to_vec(chunk: &SliceChunk<'_>, max_raw: u64) -> Result<Vec<u8>, Contain
 }
 
 // ---------------------------------------------------------------------------
-// Grid containers
+// Frame shape descriptors
 // ---------------------------------------------------------------------------
 
-/// Serializes one payload as a grid container with `bands` per-band chunks
-/// (clamped to `[1, min(height, 255)]`), optionally compressed.
-///
-/// # Errors
-///
-/// Returns [`ContainerError::Data`] when the payload's declared shape and
-/// byte length disagree, and [`ContainerError::ChunkTooLarge`] when a single
-/// band exceeds the 4 GiB chunk ceiling.
-pub fn write_grid(
+/// Renders the 16-byte shape descriptor: width, height and channels as
+/// `u32`, then the encoding tag, the band count and two zero bytes.
+fn shape_descriptor(
     payload: &ProbPayload,
     bands: usize,
-    compress: bool,
-) -> Result<Vec<u8>, ContainerError> {
-    payload.checked_value_count()?;
-    let bands = bands.clamp(1, payload.height.min(255));
-    let mut out = Vec::with_capacity(
-        CONTAINER_HEADER_LEN + GRID_DESC_LEN + bands * CHUNK_HEADER_LEN + payload.bytes.len(),
-    );
-    out.extend_from_slice(&encode_header(ContainerKind::Grid, compress));
-    out.extend_from_slice(&grid_descriptor(payload, bands)?);
-    let mut offset = 0;
-    for band in 0..bands {
-        let len = band_byte_len(
-            band,
-            bands,
-            payload.height,
-            payload.width,
-            payload.channels,
-            payload.encoding,
-        );
-        emit_chunk(
-            &mut out,
-            band as u32,
-            &payload.bytes[offset..offset + len],
-            compress,
-        )?;
-        offset += len;
-    }
-    debug_assert_eq!(offset, payload.bytes.len());
-    Ok(out)
-}
-
-/// Renders the 16-byte grid descriptor.
-fn grid_descriptor(
-    payload: &ProbPayload,
-    bands: usize,
-) -> Result<[u8; GRID_DESC_LEN], ContainerError> {
+) -> Result<[u8; SHAPE_DESC_LEN], ContainerError> {
     let dim = |value: usize, field: &'static str| {
         u32::try_from(value).map_err(|_| ContainerError::FieldOverflow(field))
     };
-    let mut desc = [0u8; GRID_DESC_LEN];
+    let mut desc = [0u8; SHAPE_DESC_LEN];
     desc[0..4].copy_from_slice(&dim(payload.width, "width")?.to_le_bytes());
     desc[4..8].copy_from_slice(&dim(payload.height, "height")?.to_le_bytes());
     desc[8..12].copy_from_slice(&dim(payload.channels, "channels")?.to_le_bytes());
@@ -743,8 +679,8 @@ fn grid_descriptor(
     Ok(desc)
 }
 
-/// The parsed grid/frame shape descriptor fields.
-struct GridShape {
+/// The parsed shape descriptor fields of a frame.
+struct FrameShape {
     width: usize,
     height: usize,
     channels: usize,
@@ -753,16 +689,16 @@ struct GridShape {
     payload_len: usize,
 }
 
-/// Validates descriptor fields and derives the (checked, capped) payload
-/// length — the one place untrusted shape bytes turn into an allocation size.
+/// Validates descriptor fields and derives the payload length, capped at
+/// [`MAX_GRID_BYTES`] — the one place untrusted shape bytes turn into an
+/// allocation size.
 fn checked_shape(
     width: u32,
     height: u32,
     channels: u32,
     encoding_tag: u8,
     bands: u8,
-    max_payload_bytes: u64,
-) -> Result<GridShape, ContainerError> {
+) -> Result<FrameShape, ContainerError> {
     let encoding = ProbEncoding::from_tag(encoding_tag)
         .ok_or(ContainerError::UnknownEncoding(encoding_tag))?;
     let (width, height, channels) = (width as usize, height as usize, channels as usize);
@@ -774,16 +710,16 @@ fn checked_shape(
                 height,
                 channels,
             })?;
-    if payload_len as u64 > max_payload_bytes {
+    if payload_len as u64 > MAX_GRID_BYTES {
         return Err(ContainerError::ChunkTooLarge {
             declared: payload_len as u64,
-            limit: max_payload_bytes,
+            limit: MAX_GRID_BYTES,
         });
     }
     if bands == 0 || bands as usize > height {
         return Err(ContainerError::InvalidBandCount { bands, height });
     }
-    Ok(GridShape {
+    Ok(FrameShape {
         width,
         height,
         channels,
@@ -791,144 +727,6 @@ fn checked_shape(
         bands: bands as usize,
         payload_len,
     })
-}
-
-/// Decodes a grid container serially. See [`read_grid_with_threads`].
-///
-/// # Errors
-///
-/// Any [`ContainerError`], as produced by the stage that failed.
-pub fn read_grid(bytes: &[u8]) -> Result<ProbPayload, ContainerError> {
-    read_grid_with_threads(bytes, 1)
-}
-
-/// Decodes a grid container, verifying and decompressing its band chunks on
-/// up to `threads` scoped threads (clamped to the band count; `1` decodes
-/// serially). The result is bit-identical whatever the thread count: bands
-/// write disjoint sub-slices of the output buffer.
-///
-/// # Errors
-///
-/// Any [`ContainerError`]: truncation at any boundary, checksum or
-/// compression corruption in any chunk, version/kind/flag skew, or a
-/// descriptor whose declared payload exceeds [`MAX_GRID_BYTES`] (checked
-/// before allocation). Never panics, whatever the bytes contain.
-pub fn read_grid_with_threads(bytes: &[u8], threads: usize) -> Result<ProbPayload, ContainerError> {
-    let mut reader = SliceReader { bytes, cursor: 0 };
-    let compressed_allowed = parse_header(
-        reader
-            .take(CONTAINER_HEADER_LEN)?
-            .try_into()
-            .expect("take returned CONTAINER_HEADER_LEN bytes"),
-        ContainerKind::Grid,
-    )?;
-    let desc = reader.take(GRID_DESC_LEN)?;
-    let le = |offset: usize| {
-        u32::from_le_bytes(desc[offset..offset + 4].try_into().expect("4-byte field"))
-    };
-    if desc[14] != 0 || desc[15] != 0 {
-        return Err(ContainerError::NonZeroReserved(u32::from_le_bytes([
-            desc[14], desc[15], 0, 0,
-        ])));
-    }
-    let shape = checked_shape(le(0), le(4), le(8), desc[12], desc[13], MAX_GRID_BYTES)?;
-
-    // Walk and validate every chunk header before allocating the payload.
-    let mut chunks = Vec::with_capacity(shape.bands);
-    for band in 0..shape.bands {
-        let chunk = reader
-            .next_chunk(compressed_allowed)?
-            .ok_or(ContainerError::Truncated {
-                needed: CHUNK_HEADER_LEN,
-                found: 0,
-            })?;
-        if chunk.tag != band as u32 {
-            return Err(ContainerError::UnexpectedTag {
-                expected: band as u32,
-                found: chunk.tag,
-            });
-        }
-        let expected = band_byte_len(
-            band,
-            shape.bands,
-            shape.height,
-            shape.width,
-            shape.channels,
-            shape.encoding,
-        );
-        if chunk.raw_len != expected {
-            return Err(ContainerError::ChunkLengthMismatch {
-                tag: chunk.tag,
-                expected,
-                found: chunk.raw_len,
-            });
-        }
-        chunks.push(chunk);
-    }
-    if reader.remaining() != 0 {
-        return Err(ContainerError::TrailingBytes(reader.remaining()));
-    }
-
-    let mut data = vec![0u8; shape.payload_len];
-    decode_bands(&chunks, &mut data, threads)?;
-    Ok(ProbPayload {
-        width: shape.width,
-        height: shape.height,
-        channels: shape.channels,
-        encoding: shape.encoding,
-        bytes: data,
-    })
-}
-
-/// Verifies and decompresses validated band chunks into `data`, fanning the
-/// per-band work across up to `threads` scoped threads.
-fn decode_bands(
-    chunks: &[SliceChunk<'_>],
-    data: &mut [u8],
-    threads: usize,
-) -> Result<(), ContainerError> {
-    // Pre-split the output into the disjoint per-band slices; chunk raw
-    // lengths were validated against the band partition, so the split is
-    // exact by construction.
-    let mut slots = Vec::with_capacity(chunks.len());
-    let mut rest = data;
-    for chunk in chunks {
-        let (slice, tail) = rest.split_at_mut(chunk.raw_len);
-        rest = tail;
-        slots.push((slice, *chunk));
-    }
-    debug_assert!(rest.is_empty());
-
-    let workers = threads.clamp(1, chunks.len().max(1));
-    if workers <= 1 {
-        for (slice, chunk) in slots {
-            decode_chunk_into(chunk.tag, chunk.checksum, chunk.stored, slice)?;
-        }
-        return Ok(());
-    }
-    let mut buckets: Vec<Vec<(&mut [u8], SliceChunk<'_>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (index, slot) in slots.into_iter().enumerate() {
-        buckets[index % workers].push(slot);
-    }
-    let results: Vec<Result<(), ContainerError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    for (slice, chunk) in bucket {
-                        decode_chunk_into(chunk.tag, chunk.checksum, chunk.stored, slice)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("band decode worker never panics"))
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,10 +926,9 @@ impl<W: Write> CorpusWriter<W> {
         let mut desc = [0u8; FRAME_DESC_LEN];
         desc[0..8].copy_from_slice(&(id.sequence as u64).to_le_bytes());
         desc[8..16].copy_from_slice(&(id.index as u64).to_le_bytes());
-        let grid = grid_descriptor(payload, bands)?;
-        desc[16..32].copy_from_slice(&grid);
-        // Repurpose the grid descriptor's first reserved byte as the frame
-        // flags (bit 0: ground truth follows).
+        desc[16..32].copy_from_slice(&shape_descriptor(payload, bands)?);
+        // The shape descriptor's first zero byte carries the frame flags
+        // (bit 0: ground truth follows).
         desc[30] = if ground_truth.is_some() {
             FRAME_FLAG_GROUND_TRUTH
         } else {
@@ -1215,7 +1012,6 @@ impl<W: Write> CorpusWriter<W> {
 pub struct CorpusReader<R: Read> {
     source: R,
     compressed_allowed: bool,
-    max_frame_bytes: u64,
     frames_read: usize,
 }
 
@@ -1234,17 +1030,8 @@ impl<R: Read> CorpusReader<R> {
         Ok(Self {
             source,
             compressed_allowed,
-            max_frame_bytes: MAX_GRID_BYTES,
             frames_read: 0,
         })
-    }
-
-    /// Replaces the per-frame decoded-payload cap (default
-    /// [`MAX_GRID_BYTES`]); frames declaring more are rejected before any
-    /// allocation.
-    pub fn with_frame_limit(mut self, max_frame_bytes: u64) -> Self {
-        self.max_frame_bytes = max_frame_bytes;
-        self
     }
 
     /// Frames decoded so far.
@@ -1296,14 +1083,7 @@ impl<R: Read> CorpusReader<R> {
         if desc[31] != 0 {
             return Err(ContainerError::NonZeroReserved(u32::from(desc[31])));
         }
-        let shape = checked_shape(
-            le32(16),
-            le32(20),
-            le32(24),
-            desc[28],
-            desc[29],
-            self.max_frame_bytes,
-        )?;
+        let shape = checked_shape(le32(16), le32(20), le32(24), desc[28], desc[29])?;
 
         let mut bytes = vec![0u8; shape.payload_len];
         let mut rest = bytes.as_mut_slice();

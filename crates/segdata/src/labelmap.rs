@@ -111,11 +111,6 @@ impl LabelMap {
         self.ids.count_equal(&class.id())
     }
 
-    /// Boolean mask of pixels carrying the given class.
-    pub fn class_mask(&self, class: SemanticClass) -> Grid<bool> {
-        self.ids.mask_of(&class.id())
-    }
-
     /// Fraction of pixels (excluding void) carrying the given class.
     pub fn class_fraction(&self, class: SemanticClass) -> f64 {
         let valid = self.pixel_count() - self.class_pixel_count(SemanticClass::Void);

@@ -1,17 +1,17 @@
 //! Adversarial and differential tests for the chunked container format.
 //!
-//! Three properties the rest of the workspace leans on are pinned here:
+//! Two properties the rest of the workspace leans on are pinned here:
 //! decoding is *total* (no input — corrupt, truncated, version-skewed —
-//! panics or allocates from unvalidated lengths), every chunk's CRC-32
-//! detects single-byte corruption, and band-parallel decoding is
-//! bit-identical to serial decoding for every thread count, encoding and
-//! awkward shape.
+//! panics or allocates from unvalidated lengths), and every chunk's CRC-32
+//! detects single-byte corruption. The frame corpus carries most cases: it
+//! is the one band-chunked reader.
 
 use metaseg_data::container::{
-    self, CHUNK_HEADER_LEN, CONTAINER_HEADER_LEN, GRID_DESC_LEN, MAX_TEXT_CHUNK_BYTES,
+    self, CHUNK_HEADER_LEN, CONTAINER_HEADER_LEN, MAX_GRID_BYTES, MAX_TEXT_CHUNK_BYTES,
 };
 use metaseg_data::{
-    ContainerError, Frame, FrameId, LabelMap, ProbEncoding, ProbMap, ProbPayload, SemanticClass,
+    crc32, ContainerError, Frame, FrameId, LabelMap, ProbEncoding, ProbMap, ProbPayload,
+    SemanticClass,
 };
 use proptest::prelude::*;
 
@@ -30,26 +30,11 @@ fn arbitrary_map(width: usize, height: usize, channels: usize, values: &[f64]) -
     map
 }
 
-fn sample_payload(
-    width: usize,
-    height: usize,
-    channels: usize,
-    encoding: ProbEncoding,
-) -> ProbPayload {
-    let map = arbitrary_map(
-        width,
-        height,
-        channels,
-        &[0.125, 0.5, 1.0 / 3.0, 0.0625, 1e-9, 0.75],
-    );
-    ProbPayload::encode(&map, encoding)
-}
-
-/// Byte ranges of every chunk's stored body inside a grid container,
-/// recovered by walking the layout (header, descriptor, then chunks).
-fn grid_chunk_bodies(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+/// Byte ranges of every chunk's stored body inside a container, recovered
+/// by walking the layout (header, then chunks).
+fn chunk_bodies(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut bodies = Vec::new();
-    let mut pos = CONTAINER_HEADER_LEN + GRID_DESC_LEN;
+    let mut pos = CONTAINER_HEADER_LEN;
     while pos + CHUNK_HEADER_LEN <= bytes.len() {
         let stored_len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap()) as usize;
         let body = pos + CHUNK_HEADER_LEN..pos + CHUNK_HEADER_LEN + stored_len;
@@ -60,66 +45,18 @@ fn grid_chunk_bodies(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     bodies
 }
 
-#[test]
-fn grid_roundtrips_across_encodings_bands_and_compression() {
-    for encoding in [ProbEncoding::F64, ProbEncoding::F32, ProbEncoding::U16] {
-        for bands in [1usize, 2, 3, 5, 64] {
-            for compress in [false, true] {
-                let payload = sample_payload(7, 5, 3, encoding);
-                let bytes = container::write_grid(&payload, bands, compress).unwrap();
-                assert!(container::is_container(&bytes));
-                assert_eq!(
-                    container::read_grid(&bytes).unwrap(),
-                    payload,
-                    "encoding {} bands {bands} compress {compress}",
-                    encoding.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_band_decode_is_bit_identical_to_serial() {
-    // Awkward shapes on purpose: 1-px-wide, 1-row, and heights that do not
-    // divide by the band count; every thread count must agree bit for bit.
-    let shapes = [
-        (1usize, 64usize, 3usize),
-        (64, 1, 5),
-        (5, 7, 4),
-        (16, 13, 2),
-    ];
-    for (width, height, channels) in shapes {
-        for encoding in [ProbEncoding::F64, ProbEncoding::F32, ProbEncoding::U16] {
-            for bands in [1usize, 3, 7] {
-                for compress in [false, true] {
-                    let payload = sample_payload(width, height, channels, encoding);
-                    let bytes = container::write_grid(&payload, bands, compress).unwrap();
-                    let serial = container::read_grid_with_threads(&bytes, 1).unwrap();
-                    assert_eq!(serial, payload);
-                    for threads in [2usize, 3, 7] {
-                        let parallel = container::read_grid_with_threads(&bytes, threads).unwrap();
-                        assert_eq!(
-                            parallel.bytes,
-                            serial.bytes,
-                            "{width}x{height}x{channels} {} bands {bands} threads {threads}",
-                            encoding.name()
-                        );
-                        assert_eq!(parallel, serial);
-                    }
-                }
-            }
-        }
-    }
+/// A small checkpoint container around a stand-in JSON document.
+fn sample_checkpoint(compress: bool) -> (&'static str, Vec<u8>) {
+    let json = r#"{"scaler":{"mean":[0.1,0.2]},"classifier":"logistic"}"#;
+    (json, container::write_checkpoint(json, compress).unwrap())
 }
 
 #[test]
 fn truncation_at_every_boundary_never_panics_and_always_errors() {
-    let payload = sample_payload(6, 4, 3, ProbEncoding::U16);
-    let bytes = container::write_grid(&payload, 3, true).unwrap();
+    let (_, bytes) = sample_checkpoint(true);
     for cut in 0..bytes.len() {
         assert!(
-            container::read_grid(&bytes[..cut]).is_err(),
+            container::read_checkpoint(&bytes[..cut]).is_err(),
             "prefix of {cut} bytes must not decode"
         );
     }
@@ -127,58 +64,36 @@ fn truncation_at_every_boundary_never_panics_and_always_errors() {
     let mut padded = bytes.clone();
     padded.push(0);
     assert!(matches!(
-        container::read_grid(&padded),
+        container::read_checkpoint(&padded),
         Err(ContainerError::TrailingBytes(1))
     ));
 }
 
 #[test]
 fn unknown_version_and_kind_are_rejected_before_any_allocation() {
-    let payload = sample_payload(4, 4, 2, ProbEncoding::F32);
-    let bytes = container::write_grid(&payload, 2, false).unwrap();
+    let bytes = container::write_corpus(&corpus_frames(), ProbEncoding::F32, 2, false).unwrap();
+    let read_with = |offset: usize, value: u8| {
+        let mut skewed = bytes.clone();
+        skewed[offset] = value;
+        container::read_corpus(&skewed)
+    };
 
-    let mut skewed = bytes.clone();
-    skewed[4] = 9;
-    assert_eq!(
-        container::read_grid(&skewed),
-        Err(ContainerError::UnsupportedVersion(9))
-    );
-
-    let mut unknown = bytes.clone();
-    unknown[5] = 200;
-    assert_eq!(
-        container::read_grid(&unknown),
-        Err(ContainerError::UnknownKind(200))
-    );
-
-    let mut wrong = bytes.clone();
-    wrong[5] = 1; // a checkpoint container handed to the grid reader
+    assert_eq!(read_with(4, 9), Err(ContainerError::UnsupportedVersion(9)));
+    assert_eq!(read_with(5, 200), Err(ContainerError::UnknownKind(200)));
+    // Tag 0 belonged to a retired kind; it is as unknown as any other.
+    assert_eq!(read_with(5, 0), Err(ContainerError::UnknownKind(0)));
+    // A checkpoint container handed to the corpus reader.
     assert!(matches!(
-        container::read_grid(&wrong),
+        read_with(5, 1),
         Err(ContainerError::WrongKind { .. })
     ));
-
-    let mut flags = bytes;
-    flags[6] = 0b1000_0000;
     assert!(matches!(
-        container::read_grid(&flags),
+        read_with(6, 0b1000_0000),
         Err(ContainerError::UnknownFlags(_))
     ));
 
-    // A descriptor declaring a petabyte field is capped before the payload
-    // buffer is sized, let alone allocated: only the tiny input slice is
-    // ever touched.
-    let mut huge =
-        container::write_grid(&sample_payload(2, 2, 1, ProbEncoding::F64), 1, false).unwrap();
-    huge[8..12].copy_from_slice(&2_000_000u32.to_le_bytes());
-    huge[12..16].copy_from_slice(&2_000_000u32.to_le_bytes());
-    assert!(matches!(
-        container::read_grid(&huge),
-        Err(ContainerError::ChunkTooLarge { .. })
-    ));
-
-    // A record chunk declaring a huge decompressed size is likewise capped
-    // before its buffer exists.
+    // A record chunk declaring a huge decompressed size is capped before
+    // its buffer exists.
     let mut record = container::write_records(["x"], true).unwrap();
     let declared = (MAX_TEXT_CHUNK_BYTES + 1) as u32;
     record[CONTAINER_HEADER_LEN + 4..CONTAINER_HEADER_LEN + 8]
@@ -190,22 +105,20 @@ fn unknown_version_and_kind_are_rejected_before_any_allocation() {
 }
 
 proptest! {
-    /// Flipping any single byte of any chunk body yields the typed CRC
-    /// error — corruption can never be mistaken for data.
+    /// Flipping any single byte of any chunk body of a frame corpus —
+    /// descriptor, band or ground truth — yields the typed CRC error:
+    /// corruption can never be mistaken for data.
     #[test]
     fn prop_chunk_body_corruption_yields_a_checksum_mismatch(
-        values in proptest::collection::vec(0.0f64..=1.0, 12),
         bands in 1usize..5,
         compress in any::<bool>(),
         position in any::<u64>(),
         flip in 1u8..=255
     ) {
-        let map = arbitrary_map(5, 4, 3, &values);
-        let payload = ProbPayload::encode(&map, ProbEncoding::U16);
-        let bytes = container::write_grid(&payload, bands, compress).unwrap();
-        let bodies = grid_chunk_bodies(&bytes);
+        let bytes = container::write_corpus(&corpus_frames(), ProbEncoding::U16, bands, compress)
+            .unwrap();
+        let bodies = chunk_bodies(&bytes);
         let total: usize = bodies.iter().map(|b| b.len()).sum();
-        prop_assume!(total > 0);
         // Pick the corruption position uniformly over the body bytes.
         let mut offset = (position % total as u64) as usize;
         let target = bodies
@@ -222,33 +135,27 @@ proptest! {
         let mut corrupt = bytes.clone();
         corrupt[target] ^= flip;
         prop_assert!(matches!(
-            container::read_grid(&corrupt),
+            container::read_corpus(&corrupt),
             Err(ContainerError::ChecksumMismatch { .. })
         ));
     }
 
-    /// Flipping any single byte anywhere — headers, descriptors, chunk
-    /// headers, bodies — never panics: the result is a typed error, or (for
-    /// the one semantically inert bit, the compression-allowed flag over an
-    /// all-raw container) the original payload.
+    /// Flipping any single byte of a checkpoint container never panics: the
+    /// result is a typed error, or (for the one semantically inert bit, the
+    /// compression-allowed flag over a raw chunk) the original document.
     #[test]
     fn prop_any_single_byte_flip_is_total(
-        values in proptest::collection::vec(0.0f64..=1.0, 12),
-        bands in 1usize..4,
         compress in any::<bool>(),
         position in any::<u64>(),
-        flip in 1u8..=255,
-        threads in 1usize..4
+        flip in 1u8..=255
     ) {
-        let map = arbitrary_map(4, 3, 2, &values);
-        let payload = ProbPayload::encode(&map, ProbEncoding::F32);
-        let bytes = container::write_grid(&payload, bands, compress).unwrap();
+        let (json, bytes) = sample_checkpoint(compress);
         let position = (position % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
         corrupt[position] ^= flip;
-        match container::read_grid_with_threads(&corrupt, threads) {
+        match container::read_checkpoint(&corrupt) {
             Err(_) => {}
-            Ok(decoded) => prop_assert_eq!(decoded, payload),
+            Ok(decoded) => prop_assert_eq!(decoded, json),
         }
     }
 
@@ -264,28 +171,29 @@ proptest! {
             bytes[..4].copy_from_slice(b"MSGC");
             bytes[4] = 1;
         }
-        let _ = container::read_grid(&bytes);
         let _ = container::read_records(&bytes);
         let _ = container::read_checkpoint(&bytes);
         let _ = container::read_corpus(&bytes);
     }
 
-    /// Grid containers round-trip arbitrary payloads across every encoding,
-    /// band count, compression setting and thread count.
+    /// Frame corpora round-trip arbitrary payloads across every encoding,
+    /// band count and compression setting.
     #[test]
-    fn prop_grid_roundtrips(
+    fn prop_frame_corpus_roundtrips(
         dims in (1usize..6, 1usize..7, 1usize..4),
         values in proptest::collection::vec(0.0f64..=1.0, 24),
         tag in 0u8..3,
         bands in 1usize..9,
-        compress in any::<bool>(),
-        threads in 1usize..5
+        compress in any::<bool>()
     ) {
         let (width, height, channels) = dims;
         let encoding = ProbEncoding::from_tag(tag).unwrap();
         let payload = ProbPayload::encode(&arbitrary_map(width, height, channels, &values), encoding);
-        let bytes = container::write_grid(&payload, bands, compress).unwrap();
-        prop_assert_eq!(container::read_grid_with_threads(&bytes, threads).unwrap(), payload);
+        let mut writer = container::CorpusWriter::new(Vec::new(), compress).unwrap();
+        writer.write_payload(FrameId::new(1, 2), &payload, None, bands).unwrap();
+        let replayed = container::read_corpus(&writer.finish().unwrap()).unwrap();
+        prop_assert_eq!(replayed.len(), 1);
+        prop_assert_eq!(&replayed[0].payload, &payload);
     }
 }
 
@@ -294,17 +202,23 @@ fn compression_shrinks_runs_and_survives_the_roundtrip() {
     // A one-hot field is byte-run heavy: PackBits must actually shrink it.
     let labels = LabelMap::filled(32, 16, SemanticClass::Road);
     let map = ProbMap::one_hot(&labels, 19);
-    let payload = ProbPayload::encode(&map, ProbEncoding::U16);
-    let raw = container::write_grid(&payload, 4, false).unwrap();
-    let packed = container::write_grid(&payload, 4, true).unwrap();
+    let frames = [Frame::labeled(FrameId::new(0, 0), labels, map).unwrap()];
+    let raw = container::write_corpus(&frames, ProbEncoding::U16, 4, false).unwrap();
+    let packed = container::write_corpus(&frames, ProbEncoding::U16, 4, true).unwrap();
     assert!(
         packed.len() * 4 < raw.len(),
-        "one-hot payload must compress at least 4x ({} vs {})",
+        "one-hot corpus must compress at least 4x ({} vs {})",
         packed.len(),
         raw.len()
     );
-    assert_eq!(container::read_grid(&packed).unwrap(), payload);
-    assert_eq!(container::read_grid(&raw).unwrap(), payload);
+    assert_eq!(
+        container::read_corpus(&packed).unwrap(),
+        container::read_corpus(&raw).unwrap()
+    );
+    assert_eq!(
+        container::read_corpus(&raw).unwrap()[0].payload,
+        ProbPayload::encode(&frames[0].prediction, ProbEncoding::U16)
+    );
 }
 
 /// A labelled frame with structured ground truth and a NaN planted in the
@@ -333,37 +247,48 @@ fn corpus_frames() -> Vec<Frame> {
 #[test]
 fn frame_corpus_roundtrips_ids_ground_truth_and_nan_bits() {
     let frames = corpus_frames();
-    for compress in [false, true] {
-        let bytes = container::write_corpus(&frames, ProbEncoding::F64, 2, compress).unwrap();
-        let replayed = container::read_corpus(&bytes).unwrap();
-        assert_eq!(replayed.len(), frames.len());
-        for (original, replay) in frames.iter().zip(&replayed) {
-            assert_eq!(replay.id, original.id);
-            assert_eq!(replay.ground_truth, original.ground_truth);
-            // Bit-exact through the lossless encoding, NaN included: the
-            // payload bytes are the `to_le_bytes` image of the field.
-            assert_eq!(
-                replay.payload,
-                ProbPayload::encode(&original.prediction, ProbEncoding::F64)
-            );
-            let frame = replay.to_frame().unwrap();
-            assert_eq!(frame.id, original.id);
-            assert_eq!(frame.ground_truth, original.ground_truth);
-            assert_eq!(
-                frame
-                    .prediction
-                    .values()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                original
-                    .prediction
-                    .values()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
+    // Every encoding × band count × compression setting stores the payload
+    // bytes exactly; band counts beyond the 5-row height clamp.
+    for encoding in [ProbEncoding::F64, ProbEncoding::F32, ProbEncoding::U16] {
+        for bands in [1usize, 2, 3, 5, 64] {
+            for compress in [false, true] {
+                let bytes = container::write_corpus(&frames, encoding, bands, compress).unwrap();
+                let replayed = container::read_corpus(&bytes).unwrap();
+                assert_eq!(replayed.len(), frames.len());
+                for (original, replay) in frames.iter().zip(&replayed) {
+                    assert_eq!(replay.id, original.id);
+                    assert_eq!(replay.ground_truth, original.ground_truth);
+                    assert_eq!(
+                        replay.payload,
+                        ProbPayload::encode(&original.prediction, encoding),
+                        "encoding {} bands {bands} compress {compress}",
+                        encoding.name()
+                    );
+                }
+            }
         }
+    }
+    // Bit-exact through the lossless encoding, NaN included: the payload
+    // bytes are the `to_le_bytes` image of the field.
+    let bytes = container::write_corpus(&frames, ProbEncoding::F64, 2, true).unwrap();
+    for (original, replay) in frames.iter().zip(container::read_corpus(&bytes).unwrap()) {
+        let frame = replay.to_frame().unwrap();
+        assert_eq!(frame.id, original.id);
+        assert_eq!(frame.ground_truth, original.ground_truth);
+        assert_eq!(
+            frame
+                .prediction
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            original
+                .prediction
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
     }
 }
 
@@ -414,20 +339,28 @@ fn frame_corpus_end_of_stream_is_only_valid_at_frame_boundaries() {
 
 #[test]
 fn frame_corpus_respects_the_frame_limit_before_allocating() {
-    let frames = corpus_frames();
-    let bytes = container::write_corpus(&frames, ProbEncoding::F64, 1, false).unwrap();
-    let mut reader = container::CorpusReader::open(bytes.as_slice())
-        .unwrap()
-        .with_frame_limit(64);
+    let bytes = container::write_corpus(&corpus_frames(), ProbEncoding::F64, 1, false).unwrap();
+    // Re-declare the first frame as 6e6 x 6e6 x 4 f64 values (~1 PB) and
+    // re-seal its descriptor chunk, so only the cap can stop the reader.
+    let mut huge = bytes.clone();
+    let body = CONTAINER_HEADER_LEN + CHUNK_HEADER_LEN;
+    huge[body + 16..body + 20].copy_from_slice(&6_000_000u32.to_le_bytes());
+    huge[body + 20..body + 24].copy_from_slice(&6_000_000u32.to_le_bytes());
+    let checksum = crc32(&huge[body..body + 32]);
+    huge[body - 4..body].copy_from_slice(&checksum.to_le_bytes());
     assert!(matches!(
-        reader.next_frame(),
-        Err(ContainerError::ChunkTooLarge { limit: 64, .. })
+        container::read_corpus(&huge),
+        Err(ContainerError::ChunkTooLarge {
+            limit: MAX_GRID_BYTES,
+            ..
+        })
     ));
 }
 
 proptest! {
     /// Any truncation or single-byte corruption of a frame corpus is total:
-    /// a typed error or a clean prefix replay, never a panic.
+    /// a typed error, a prefix of the recorded frames, or (for the inert
+    /// compression flag over raw chunks) the recorded frames themselves.
     #[test]
     fn prop_frame_corpus_damage_is_total(
         cut in any::<u64>(),
@@ -435,14 +368,19 @@ proptest! {
         flip in 1u8..=255,
         compress in any::<bool>()
     ) {
-        let frames = corpus_frames();
-        let bytes = container::write_corpus(&frames, ProbEncoding::U16, 3, compress).unwrap();
+        let bytes = container::write_corpus(&corpus_frames(), ProbEncoding::U16, 3, compress)
+            .unwrap();
+        let recorded = container::read_corpus(&bytes).unwrap();
         let cut = (cut % (bytes.len() as u64 + 1)) as usize;
-        let _ = container::read_corpus(&bytes[..cut]);
+        if let Ok(prefix) = container::read_corpus(&bytes[..cut]) {
+            prop_assert_eq!(&prefix[..], &recorded[..prefix.len()]);
+        }
         let position = (position % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
         corrupt[position] ^= flip;
-        let _ = container::read_corpus(&corrupt);
+        if let Ok(replayed) = container::read_corpus(&corrupt) {
+            prop_assert_eq!(replayed, recorded);
+        }
     }
 }
 
@@ -451,7 +389,6 @@ fn checkpoint_and_record_containers_roundtrip_and_detect_corruption() {
     let json = r#"{"scaler":{"mean":[0.1,0.2]},"classifier":"logistic"}"#;
     for compress in [false, true] {
         let bytes = container::write_checkpoint(json, compress).unwrap();
-        assert!(container::is_container(&bytes));
         assert_eq!(container::read_checkpoint(&bytes).unwrap(), json);
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;
@@ -488,19 +425,19 @@ fn checkpoint_and_record_containers_roundtrip_and_detect_corruption() {
 
 #[test]
 fn container_errors_render_useful_messages() {
-    let payload = sample_payload(3, 3, 2, ProbEncoding::F64);
-    let bytes = container::write_grid(&payload, 2, false).unwrap();
+    let (_, bytes) = sample_checkpoint(false);
     let mut corrupt = bytes.clone();
     let last = corrupt.len() - 1;
     corrupt[last] ^= 1;
-    let err = container::read_grid(&corrupt).unwrap_err();
-    let message = err.to_string();
+    let message = container::read_checkpoint(&corrupt)
+        .unwrap_err()
+        .to_string();
     assert!(
         message.contains("checksum"),
         "checksum failures must say so: {message}"
     );
     assert!(
-        container::read_grid(&bytes[..5])
+        container::read_checkpoint(&bytes[..5])
             .unwrap_err()
             .to_string()
             .contains("truncated"),

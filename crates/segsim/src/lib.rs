@@ -62,7 +62,5 @@ pub use scenario::{
     RegimeSource, ResolutionSwitch, ScenarioSuite, SensorDropout,
 };
 pub use scene::{Scene, SceneConfig, SceneObject, ShapeKind};
-pub use source::{
-    CorpusFrameSource, DecodedFrameSource, EncodedFrameSource, FrameSource, VideoStream,
-};
+pub use source::{CorpusFrameSource, DecodedFrameSource, FrameSource, VideoStream};
 pub use video::{VideoConfig, VideoScenario};

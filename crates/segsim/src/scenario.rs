@@ -620,16 +620,6 @@ impl<S: FrameSource> RegimeSource<S> {
             emitted: 0,
         }
     }
-
-    /// The regime's stable name.
-    pub fn regime_name(&self) -> &'static str {
-        self.regime.name()
-    }
-
-    /// Number of frames emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
 }
 
 impl<S> std::fmt::Debug for RegimeSource<S> {

@@ -11,7 +11,7 @@
 use crate::network::NetworkSim;
 use crate::scene::Scene;
 use crate::video::VideoConfig;
-use metaseg_data::{ContainerError, CorpusReader, DataError, Frame, FrameId, ProbMap, ProbPayload};
+use metaseg_data::{ContainerError, CorpusReader, Frame, FrameId, ProbMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,108 +94,6 @@ impl<I: Iterator<Item = ProbMap>> FrameSource for DecodedFrameSource<I> {
 
     fn frames_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
-    }
-}
-
-/// A [`FrameSource`] over *binary-encoded* softmax payloads
-/// ([`ProbPayload`]: flat little-endian value bytes plus shape metadata) —
-/// the adapter for camera feeds that arrive as raw byte frames (e.g. the
-/// binary wire format of `metaseg-serve`, a shared-memory ring, a recorded
-/// `.bin` capture) rather than as already-decoded [`ProbMap`]s.
-///
-/// Decoding happens lazily, one payload per pulled frame, so memory stays
-/// bounded by a single frame however long the byte stream is. Decoding is
-/// total: the first malformed payload ends the stream (a camera feed with a
-/// torn frame cannot be meaningfully resumed mid-pixel) and the typed
-/// [`DataError`] is retrievable via [`EncodedFrameSource::decode_error`] —
-/// it is never a panic.
-#[derive(Debug, Clone)]
-pub struct EncodedFrameSource<I> {
-    inner: I,
-    sequence: usize,
-    next_index: usize,
-    error: Option<DataError>,
-}
-
-impl<I> EncodedFrameSource<I>
-where
-    I: Iterator<Item = ProbPayload>,
-{
-    /// Wraps an iterator of encoded payloads as camera `sequence`, numbering
-    /// frames from zero.
-    pub fn new(
-        sequence: usize,
-        inner: impl IntoIterator<Item = ProbPayload, IntoIter = I>,
-    ) -> Self {
-        Self {
-            inner: inner.into_iter(),
-            sequence,
-            next_index: 0,
-            error: None,
-        }
-    }
-
-    /// Index of the next frame that will be produced.
-    pub fn position(&self) -> usize {
-        self.next_index
-    }
-
-    /// The decode error that ended the stream, if any. `None` after a clean
-    /// exhaustion (or before the stream has ended).
-    pub fn decode_error(&self) -> Option<&DataError> {
-        self.error.as_ref()
-    }
-
-    /// Produces the next payload *without decoding it* — the zero-copy
-    /// variant of [`FrameSource::next_frame`] for consumers that ingest wire
-    /// bytes directly (e.g. `metaseg::stream::MetaSegStream::push_payload`,
-    /// which dequantizes into its extraction scratch). The payload's shape
-    /// is validated so a torn byte stream still ends the stream with the
-    /// same typed, queryable error as the decoding path — but its values
-    /// are not touched, so pulling a payload costs no per-frame allocation
-    /// beyond what the underlying iterator already holds.
-    pub fn next_payload(&mut self) -> Option<(FrameId, ProbPayload)> {
-        if self.error.is_some() {
-            return None;
-        }
-        let payload = self.inner.next()?;
-        match payload.checked_value_count() {
-            Ok(_) => {
-                let id = FrameId::new(self.sequence, self.next_index);
-                self.next_index += 1;
-                Some((id, payload))
-            }
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
-impl<I: Iterator<Item = ProbPayload>> FrameSource for EncodedFrameSource<I> {
-    fn next_frame(&mut self) -> Option<Frame> {
-        if self.error.is_some() {
-            return None;
-        }
-        let payload = self.inner.next()?;
-        match payload.decode() {
-            Ok(probs) => {
-                let id = FrameId::new(self.sequence, self.next_index);
-                self.next_index += 1;
-                Some(Frame::unlabeled(id, probs))
-            }
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-
-    fn frames_hint(&self) -> (usize, Option<usize>) {
-        // A later payload may fail to decode, so only the upper bound of
-        // the inner hint carries over.
-        (0, self.inner.size_hint().1)
     }
 }
 
@@ -438,33 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_frame_source_matches_the_decoded_one_bit_exactly() {
-        use metaseg_data::ProbEncoding;
-
-        let mut rng = StdRng::seed_from_u64(9);
-        let sim = NetworkSim::new(NetworkProfile::weak());
-        let maps: Vec<_> = VideoStream::open(&VideoConfig::small(), sim, 0, &mut rng)
-            .map(|f| f.prediction)
-            .collect();
-        let payloads: Vec<ProbPayload> = maps
-            .iter()
-            .map(|m| ProbPayload::encode(m, ProbEncoding::F64))
-            .collect();
-        let mut encoded = EncodedFrameSource::new(3, payloads);
-        let mut decoded = DecodedFrameSource::new(3, maps);
-        // The lossless byte path produces exactly the frames of the
-        // already-decoded path: same ids, same fields, bit for bit.
-        loop {
-            match (encoded.next_frame(), decoded.next_frame()) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a, b),
-            }
-        }
-        assert!(encoded.decode_error().is_none());
-        assert_eq!(encoded.position(), decoded.position());
-    }
-
-    #[test]
     fn corpus_frame_source_replays_a_recorded_stream_bit_exactly() {
         use metaseg_data::{container, CorpusWriter, ProbEncoding};
 
@@ -501,50 +372,6 @@ mod tests {
             torn.read_error(),
             Some(container::ContainerError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn encoded_frame_source_stops_at_the_first_torn_payload_without_panicking() {
-        use metaseg_data::ProbEncoding;
-
-        let good = ProbPayload::encode(&ProbMap::uniform(2, 2, 3), ProbEncoding::U16);
-        let mut torn = good.clone();
-        torn.bytes.pop();
-        let mut source = EncodedFrameSource::new(0, vec![good.clone(), torn, good]);
-        assert!(source.next_frame().is_some());
-        // The torn payload ends the stream with a typed, queryable error…
-        assert!(source.next_frame().is_none());
-        assert!(matches!(
-            source.decode_error(),
-            Some(metaseg_data::DataError::PayloadSizeMismatch { .. })
-        ));
-        // …and the source stays ended (the valid trailing payload is not
-        // resurrected out of order).
-        assert!(source.next_frame().is_none());
-        assert_eq!(source.position(), 1);
-    }
-
-    #[test]
-    fn next_payload_walks_the_same_stream_without_decoding() {
-        use metaseg_data::ProbEncoding;
-
-        let good = ProbPayload::encode(&ProbMap::uniform(2, 2, 3), ProbEncoding::U16);
-        let mut torn = good.clone();
-        torn.bytes.pop();
-        let mut source = EncodedFrameSource::new(4, vec![good.clone(), good.clone(), torn]);
-        let (id, payload) = source.next_payload().expect("first payload is intact");
-        assert_eq!(id, FrameId::new(4, 0));
-        // The bytes come through untouched — decoding is the caller's call.
-        assert_eq!(payload, good);
-        assert_eq!(source.next_payload().unwrap().0, FrameId::new(4, 1));
-        // A torn payload ends the payload stream with the same typed error
-        // as the decoding path.
-        assert!(source.next_payload().is_none());
-        assert!(matches!(
-            source.decode_error(),
-            Some(metaseg_data::DataError::PayloadSizeMismatch { .. })
-        ));
-        assert_eq!(source.position(), 2);
     }
 
     #[test]

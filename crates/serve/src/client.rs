@@ -281,9 +281,10 @@ impl ServeClient {
 
     /// Like [`ServeClient::negotiate`], but additionally asks the server to
     /// run its dispersion scan at the given precision for this connection's
-    /// frames. [`DispersionPrecision::F32`] is the vectorised fast path
-    /// (metrics within ~1e-4 relative of the exact f64 scan);
-    /// [`DispersionPrecision::F64`] is the exact default and keeps the
+    /// binary frames; the client keeps the precision the server confirms,
+    /// which is always f64 for JSON. [`DispersionPrecision::F32`] is the
+    /// vectorised fast path (metrics within ~1e-4 relative of the exact f64
+    /// scan); [`DispersionPrecision::F64`] is the exact default and keeps the
     /// negotiation line byte-identical to what pre-fast-path clients send.
     ///
     /// # Errors
@@ -296,12 +297,13 @@ impl ServeClient {
         dispersion: DispersionPrecision,
     ) -> Result<(), ClientError> {
         self.expect(&Request::Negotiate { format, dispersion }, |r| match r {
-            Response::Negotiated { format, .. } => Ok(format),
+            Response::Negotiated { format, dispersion } => Ok((format, dispersion)),
             other => Err(other),
         })
-        .map(|confirmed| {
-            self.format = confirmed;
-            // Remembered so a reconnect can renegotiate the same terms.
+        .map(|(format, dispersion)| {
+            // The confirmed terms, remembered so a reconnect can
+            // renegotiate them.
+            self.format = format;
             self.dispersion = dispersion;
         })
     }

@@ -7,8 +7,8 @@
 //! The crate splits into:
 //!
 //! * [`ModelRegistry`] — named, cached, pre-validated [`MetaPredictor`]
-//!   handles (insert fitted handles in-process, load their JSON or container
-//!   checkpoints, and hot-swap new versions under live traffic),
+//!   handles (insert fitted handles in-process, load their checkpoint
+//!   containers, and hot-swap new versions under live traffic),
 //! * [`Server`] / [`ServerHandle`] — the TCP server: one readiness-driven
 //!   event-loop thread multiplexing every connection over nonblocking
 //!   sockets (epoll via the vendored poller), plus **sharded** worker
@@ -468,6 +468,42 @@ mod tests {
         // unknown-session and malformed frames are all rejected before
         // their payload is ever decoded.
         assert_eq!(stats.binary_frames, 1);
+    }
+
+    #[test]
+    fn negotiate_confirms_the_dispersion_precision_frames_actually_get() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::TcpStream;
+
+        let registry = registry_with_default(2);
+        let handle = Server::spawn("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut roundtrip = |line: &str| -> String {
+            writeln!(writer, "{line}").unwrap();
+            writer.flush().unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply.trim_end().to_string()
+        };
+
+        // JSON frames arrive decoded and always scan at f64, so a JSON
+        // negotiation confirms f64 (the default, absent from the line)…
+        assert_eq!(
+            roundtrip(r#"{"op":"negotiate","frames":"json","dispersion":"f32"}"#),
+            r#"{"ok":"negotiated","frames":"json"}"#
+        );
+        // …while a binary negotiation echoes the precision it asked for.
+        assert_eq!(
+            roundtrip(r#"{"op":"negotiate","frames":"binary-u16","dispersion":"f32"}"#),
+            r#"{"ok":"negotiated","frames":"binary-u16","dispersion":"f32"}"#
+        );
+        assert_eq!(
+            roundtrip(r#"{"op":"negotiate","frames":"binary-f64"}"#),
+            r#"{"ok":"negotiated","frames":"binary-f64"}"#
+        );
+        handle.shutdown();
     }
 
     #[test]

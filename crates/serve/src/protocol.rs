@@ -130,8 +130,9 @@ pub enum Request {
     Negotiate {
         /// The format the client wants to submit frames in.
         format: FrameFormat,
-        /// The dispersion-scan precision the client asks the server to run.
-        /// Encoded on the wire only when it deviates from the
+        /// The dispersion-scan precision the client asks the server to run
+        /// on its binary frames; JSON frames always scan at f64. Encoded on
+        /// the wire only when it deviates from the
         /// [`DispersionPrecision::F64`] default, so negotiation lines from
         /// older clients (and to older servers) are unchanged.
         dispersion: DispersionPrecision,
@@ -185,9 +186,10 @@ pub enum Response {
     Negotiated {
         /// The format now in effect for this connection.
         format: FrameFormat,
-        /// The dispersion precision now in effect for this connection
-        /// (omitted on the wire when it is the [`DispersionPrecision::F64`]
-        /// default).
+        /// The dispersion precision the server will actually run on this
+        /// connection's frames: the requested one for a binary format,
+        /// always [`DispersionPrecision::F64`] for JSON (omitted on the
+        /// wire when it is the f64 default).
         dispersion: DispersionPrecision,
     },
     /// A typed error. The connection stays usable afterwards.

@@ -2,8 +2,7 @@
 //!
 //! A server process serves many tenants, each pinned to a model by name.
 //! [`ModelRegistry`] owns the fitted [`MetaPredictor`] handles (inserted
-//! in-process or loaded from a serialized checkpoint — binary container or
-//! JSON, sniffed by magic), caches
+//! in-process or loaded from a checkpoint container), caches
 //! them behind [`Arc`]s so concurrent sessions share one copy, and validates
 //! every handle against its [`StreamConfig`] **once at registration** — a
 //! session open can then never fail on a config/predictor mismatch.
@@ -127,15 +126,14 @@ impl ModelRegistry {
         Ok(version)
     }
 
-    /// Hot-reloads a checkpoint under `name`: decodes either checkpoint form
-    /// — binary container or UTF-8 JSON, sniffed by magic — and swaps it in
+    /// Hot-reloads a checkpoint container under `name` and swaps it in
     /// unconditionally (no already-registered short-circuit: reload means
     /// *replace*). Returns the new version.
     ///
     /// # Errors
     ///
-    /// Returns [`MetaSegError::Learn`] when the checkpoint is truncated,
-    /// corrupt or undecodable in both formats, and
+    /// Returns [`MetaSegError::Learn`] when the checkpoint is not a
+    /// container (bare JSON included), truncated, corrupt or undecodable, and
     /// [`MetaSegError::InvalidConfig`] when the decoded predictor does not
     /// fit the configuration; the registered entry is left untouched either
     /// way.
@@ -145,43 +143,19 @@ impl ModelRegistry {
         config: StreamConfig,
         checkpoint: &[u8],
     ) -> Result<u64, MetaSegError> {
-        let predictor = MetaPredictor::from_checkpoint_bytes(checkpoint)?;
+        let predictor = MetaPredictor::from_container_bytes(checkpoint)?;
         self.swap(name, config, predictor)
     }
 
-    /// Loads a model from its serialized JSON checkpoint form
-    /// ([`MetaPredictor::to_json`]) and caches it under `name`. If the name
-    /// is already registered, the existing handle is kept and the checkpoint
-    /// is not parsed again.
+    /// Loads a model from a checkpoint container
+    /// ([`MetaPredictor::from_container_bytes`]) and caches it under `name`.
+    /// If the name is already registered, the existing handle is kept and
+    /// the checkpoint is not parsed again.
     ///
     /// # Errors
     ///
-    /// Returns [`MetaSegError::Learn`] when the checkpoint cannot be
-    /// decoded, and [`MetaSegError::InvalidConfig`] when the decoded
-    /// predictor does not fit the configuration.
-    pub fn load_json(
-        &self,
-        name: &str,
-        config: StreamConfig,
-        checkpoint: &str,
-    ) -> Result<(), MetaSegError> {
-        if self.get(name).is_some() {
-            return Ok(());
-        }
-        let predictor = MetaPredictor::from_json(checkpoint)?;
-        self.insert(name, config, predictor)
-    }
-
-    /// Loads a model from either checkpoint form — a binary checkpoint
-    /// container (`metaseg_data::container`) or UTF-8 JSON — sniffing the
-    /// container magic ([`MetaPredictor::from_checkpoint_bytes`]), and caches
-    /// it under `name` with the same already-registered short-circuit as
-    /// [`Self::load_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetaSegError::Learn`] when the checkpoint is truncated,
-    /// corrupt or undecodable in both formats, and
+    /// Returns [`MetaSegError::Learn`] when the checkpoint is not a
+    /// container (bare JSON included), truncated, corrupt or undecodable, and
     /// [`MetaSegError::InvalidConfig`] when the decoded predictor does not
     /// fit the configuration.
     pub fn load_checkpoint(
@@ -193,7 +167,7 @@ impl ModelRegistry {
         if self.get(name).is_some() {
             return Ok(());
         }
-        let predictor = MetaPredictor::from_checkpoint_bytes(checkpoint)?;
+        let predictor = MetaPredictor::from_container_bytes(checkpoint)?;
         self.insert(name, config, predictor)
     }
 
@@ -272,21 +246,22 @@ mod tests {
     }
 
     #[test]
-    fn load_checkpoint_sniffs_containers_and_json() {
+    fn load_checkpoint_takes_containers_and_rejects_bare_json() {
         let registry = ModelRegistry::new();
         let (config, predictor) = fitted_model(2);
-        // Binary container checkpoint.
         let container = predictor.to_container_bytes();
         registry.load_checkpoint("bin", config, &container).unwrap();
         assert_eq!(registry.get("bin").unwrap().predictor(), &predictor);
-        // Plain JSON bytes route through the fallback path.
-        registry
-            .load_checkpoint("json", config, predictor.to_json().as_bytes())
-            .unwrap();
-        assert_eq!(
-            registry.get("json").unwrap().predictor(),
-            registry.get("bin").unwrap().predictor()
-        );
+        // Bare JSON is a typed error, on load and on swap alike.
+        let json = predictor.to_json();
+        assert!(matches!(
+            registry.load_checkpoint("json", config, json.as_bytes()),
+            Err(MetaSegError::Learn(_))
+        ));
+        assert!(registry
+            .swap_checkpoint("bin", config, json.as_bytes())
+            .is_err());
+        assert_eq!(registry.get("bin").unwrap().version(), 1);
         // A corrupt container is a typed error, not a panic.
         let mut corrupt = container.clone();
         let last = corrupt.len() - 1;
@@ -296,7 +271,9 @@ mod tests {
         assert!(registry
             .load_checkpoint("bad", config, &container[..container.len() / 2])
             .is_err());
-        assert_eq!(registry.len(), 2);
+        assert_eq!(registry.names(), vec!["bin".to_string()]);
+        assert!(registry.remove("bin"));
+        assert!(!registry.remove("bin"));
     }
 
     #[test]
@@ -350,21 +327,5 @@ mod tests {
         // First registration under a fresh name starts at version 1 again.
         let (config_b, predictor_b) = fitted_model(2);
         assert_eq!(registry.swap("other", config_b, predictor_b).unwrap(), 1);
-    }
-
-    #[test]
-    fn load_json_roundtrips_and_caches_by_name() {
-        let registry = ModelRegistry::new();
-        let (config, predictor) = fitted_model(2);
-        let checkpoint = predictor.to_json();
-        registry.load_json("ckpt", config, &checkpoint).unwrap();
-        assert_eq!(registry.get("ckpt").unwrap().predictor(), &predictor);
-        // Second load under the same name is a cache hit even with a
-        // corrupt checkpoint text.
-        registry.load_json("ckpt", config, "garbage").unwrap();
-        // A fresh name with a corrupt checkpoint is a typed error.
-        assert!(registry.load_json("other", config, "garbage").is_err());
-        assert!(registry.remove("ckpt"));
-        assert!(!registry.remove("ckpt"));
     }
 }

@@ -399,11 +399,6 @@ impl ServerHandle {
         self.shared.active_connections.load(Ordering::Relaxed)
     }
 
-    /// Whether shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: stop accepting and reading, drain every job
     /// already handed to the shards, flush the responses, join every
     /// thread, and return the final statistics.

@@ -60,21 +60,23 @@ pub(crate) struct Completion {
 /// How a queued frame travels to the worker that will serve it.
 pub(crate) enum JobPayload {
     /// A softmax field decoded at the event loop (the JSON path — the
-    /// document decoder produces an owned [`ProbMap`] anyway).
+    /// document decoder produces an owned [`ProbMap`] anyway). Its
+    /// dispersion scan is the exact f64 one.
     Decoded(ProbMap),
-    /// Checksum-verified wire bytes, untouched since the socket read. The
-    /// worker dequantizes them directly into the session engine's extraction
+    /// Checksum-verified wire bytes, untouched since the socket read, and
+    /// the dispersion precision the connection negotiated. The worker
+    /// dequantizes them directly into the session engine's extraction
     /// scratch — no intermediate `ProbMap` is ever materialised.
-    Encoded(ProbPayload),
+    Encoded {
+        payload: ProbPayload,
+        dispersion: DispersionPrecision,
+    },
 }
 
 /// What a queued job asks of the session.
 pub(crate) enum JobKind {
     /// Push one frame through the engine and answer its verdicts.
-    Frame {
-        payload: JobPayload,
-        dispersion: DispersionPrecision,
-    },
+    Frame(JobPayload),
     /// Snapshot the session counters.
     Stats,
     /// Answer how many frames the engine has applied. Routed through the
@@ -89,7 +91,7 @@ pub(crate) enum JobKind {
 
 impl JobKind {
     fn is_frame(&self) -> bool {
-        matches!(self, JobKind::Frame { .. })
+        matches!(self, JobKind::Frame(_))
     }
 
     fn is_stats(&self) -> bool {
@@ -341,16 +343,24 @@ fn run_group(
     let mut results = Vec::with_capacity(jobs.len());
     for job in jobs {
         let response = match job.kind {
-            JobKind::Frame {
+            JobKind::Frame(JobPayload::Decoded(probs)) => {
+                let frame = Frame::unlabeled(
+                    FrameId::new(session_id as usize, guard.frames_seen()),
+                    probs,
+                );
+                let verdicts = guard.push_frame(&frame);
+                processed += 1;
+                Response::Verdicts {
+                    session: session_id,
+                    frame: verdicts.frame,
+                    verdicts: verdicts.verdicts,
+                }
+            }
+            JobKind::Frame(JobPayload::Encoded {
                 payload,
                 dispersion,
-            } => match payload {
-                JobPayload::Decoded(probs) => {
-                    let frame = Frame::unlabeled(
-                        FrameId::new(session_id as usize, guard.frames_seen()),
-                        probs,
-                    );
-                    let verdicts = guard.push_frame(&frame);
+            }) => match guard.push_payload(&payload, dispersion) {
+                Ok(verdicts) => {
                     processed += 1;
                     Response::Verdicts {
                         session: session_id,
@@ -358,21 +368,9 @@ fn run_group(
                         verdicts: verdicts.verdicts,
                     }
                 }
-                JobPayload::Encoded(payload) => {
-                    match guard.push_payload(&payload, dispersion) {
-                        Ok(verdicts) => {
-                            processed += 1;
-                            Response::Verdicts {
-                                session: session_id,
-                                frame: verdicts.frame,
-                                verdicts: verdicts.verdicts,
-                            }
-                        }
-                        // The engine state is untouched on a codec error;
-                        // the session keeps serving subsequent frames.
-                        Err(e) => bad_request(e),
-                    }
-                }
+                // The engine state is untouched on a codec error; the
+                // session keeps serving subsequent frames.
+                Err(e) => bad_request(e),
             },
             JobKind::Stats => Response::Stats {
                 session: session_id,

@@ -168,7 +168,8 @@ struct Conn {
     scheduled_deadline: Option<Instant>,
     /// Whether binary frame submissions have been negotiated.
     binary_frames: bool,
-    /// Negotiated dispersion-scan precision for this connection's frames.
+    /// Negotiated dispersion-scan precision for this connection's binary
+    /// frames (JSON frames always scan at f64).
     dispersion: DispersionPrecision,
     /// Response slots in request order: `pending[i]` answers request
     /// `base_seq + i`. `None` slots await a shard completion.
@@ -658,7 +659,10 @@ impl Transport {
                                 conn,
                                 seq,
                                 header.session,
-                                JobPayload::Encoded(payload),
+                                JobPayload::Encoded {
+                                    payload,
+                                    dispersion: conn.dispersion,
+                                },
                             ) {
                                 conn.fill(seq, response);
                             }
@@ -781,11 +785,19 @@ impl Transport {
                 // way. The payload encoding of each binary frame is
                 // self-describing, so the server only needs to remember
                 // "binary allowed". The dispersion precision applies to
-                // every frame submitted after this confirmation, whatever
-                // its format.
+                // binary frames only: a JSON frame arrives decoded and
+                // always scans at f64, so that is what a JSON negotiation
+                // confirms.
                 conn.binary_frames = matches!(format, FrameFormat::Binary(_));
-                conn.dispersion = dispersion;
-                Some(Response::Negotiated { format, dispersion })
+                conn.dispersion = if conn.binary_frames {
+                    dispersion
+                } else {
+                    DispersionPrecision::F64
+                };
+                Some(Response::Negotiated {
+                    format,
+                    dispersion: conn.dispersion,
+                })
             }
             Request::Open { model, .. } => {
                 if self.shared.shutting_down.load(Ordering::SeqCst) {
@@ -936,10 +948,7 @@ impl Transport {
         let job = Job {
             session_id: session,
             session: state,
-            kind: JobKind::Frame {
-                payload,
-                dispersion: conn.dispersion,
-            },
+            kind: JobKind::Frame(payload),
             conn: conn.id,
             seq,
         };

@@ -1,6 +1,6 @@
 //! Demo of the multi-camera inference service: spins up `metaseg-serve` on
-//! an ephemeral port, loads a model into the registry via its serialized
-//! JSON checkpoint form, drives N simulated cameras over real TCP, and
+//! an ephemeral port, loads a model into the registry from its checkpoint
+//! container, drives N simulated cameras over real TCP, and
 //! prints per-camera verdict summaries plus throughput/latency percentiles.
 //!
 //! Bounded runtime for CI via flags:
@@ -61,14 +61,14 @@ fn main() {
 
     // The registry consumes the *serialized* checkpoint — exactly what a
     // production fleet would load from object storage.
-    let checkpoint = predictor.to_json();
+    let checkpoint = predictor.to_container_bytes();
     println!(
         "checkpoint size: {:.1} KiB",
         checkpoint.len() as f64 / 1024.0
     );
     let registry = Arc::new(ModelRegistry::new());
     registry
-        .load_json("default", stream_config, &checkpoint)
+        .load_checkpoint("default", stream_config, &checkpoint)
         .expect("checkpoint round-trips");
 
     // --- Serve. ------------------------------------------------------------

@@ -8,7 +8,6 @@
 //! exactly (the tolerance below is 1e-9, the assembly is shared code so the
 //! observed deviation is 0).
 
-use metaseg::stream::{MetaSegStream, StreamConfig};
 use metaseg::timedyn::{MetaModel, TimeDynConfig, TimeDynamic};
 use metaseg_learners::TabularDataset;
 use metaseg_sim::{NetworkProfile, NetworkSim, VideoConfig, VideoScenario};
@@ -175,30 +174,4 @@ fn batch_drain_equals_stream_consumption() {
     assert_eq!(report.frame_verdicts, frames);
     assert_eq!(report.frames, 12);
     assert_eq!(report.tracks_created, pushed.tracks_created());
-}
-
-#[test]
-fn sharded_videos_match_sequential_processing() {
-    let scenario = scenario(107);
-    let pipeline = TimeDynamic::new(TimeDynConfig::default());
-    let mut train = TabularDataset::new();
-    for sequence in &scenario.dataset().sequences {
-        let analysis = pipeline.analyze_sequence(sequence);
-        train.extend_from(&pipeline.time_series_dataset(&analysis, 2));
-    }
-    let predictor = pipeline
-        .fit_predictor(MetaModel::GradientBoosting, &train, 3)
-        .unwrap();
-    let config = StreamConfig::from(*pipeline.config());
-
-    let sources: Vec<_> = (0..scenario.dataset().sequence_count())
-        .map(|i| scenario.stream_sequence(i).unwrap())
-        .collect();
-    let sharded = metaseg::stream::process_videos(sources, config, &predictor).unwrap();
-
-    for (i, report) in sharded.iter().enumerate() {
-        let mut engine = MetaSegStream::new(config, predictor.clone()).unwrap();
-        let sequential = engine.drain(scenario.stream_sequence(i).unwrap());
-        assert_eq!(report, &sequential);
-    }
 }
