@@ -17,8 +17,8 @@
 //! * `--compare` runs two on the same traffic, JSON without batching and
 //!   then the binary wire with batching, and prints their frames/s ratio;
 //! * `--chaos` runs one per fault plan, each behind a
-//!   [`metaseg_sim::ChaosProxy`] (`--plan NAME` picks one plan, `--smoke`
-//!   the trickle and torn pair, default all nine).
+//!   [`metaseg_sim::ChaosProxy`] (`--plan NAME` picks one plan, default
+//!   all nine).
 //!
 //! `--hot-swap` swaps the model checkpoint once half the frames are done:
 //! every session was open before the first frame, so each one must finish
@@ -51,7 +51,7 @@ use metaseg_bench::report::{LatencySummary, LoadReport, RunReport};
 use metaseg_bench::serve_fixture::{self, fit_predictor, video_config, CAMERA_SEED};
 use metaseg_data::ProbMap;
 use metaseg_serve::{
-    ClientConfig, ClientError, FrameFormat, ModelRegistry, ServeClient, Server, ServerConfig,
+    ClientConfig, FrameFormat, ModelRegistry, ServeClient, ServeError, Server, ServerConfig,
     Submission,
 };
 use metaseg_sim::{ChaosProxy, DecodedFrameSource, FaultPlan, ProbEncoding, RegimeKind};
@@ -97,7 +97,6 @@ struct Options {
     hot_swap: bool,
     chaos: bool,
     plan: Option<FaultPlan>,
-    smoke: bool,
     check: Option<PathBuf>,
 }
 
@@ -118,7 +117,6 @@ impl Options {
             hot_swap: false,
             chaos: false,
             plan: None,
-            smoke: false,
             check: None,
         };
         let mut args = std::env::args().skip(1);
@@ -166,7 +164,6 @@ impl Options {
                 "--scale" => options.scale = true,
                 "--hot-swap" => options.hot_swap = true,
                 "--chaos" => options.chaos = true,
-                "--smoke" => options.smoke = true,
                 other => panic!("unknown flag `{other}`"),
             }
         }
@@ -513,12 +510,12 @@ fn open_sessions(
     config: ClientConfig,
     wire: FrameFormat,
     cameras: &[usize],
-) -> Result<(ServeClient, Vec<u64>), ClientError> {
+) -> Result<(ServeClient, Vec<u64>), ServeError> {
     let mut client: Option<ServeClient> = None;
     let mut sessions = Vec::with_capacity(cameras.len());
     let mut last = None;
     for attempt in 0..config.max_retries {
-        let outcome = (|| -> Result<(), ClientError> {
+        let outcome = (|| -> Result<(), ServeError> {
             let client = match client.as_mut() {
                 Some(client) => {
                     client.reconnect()?;
@@ -620,8 +617,8 @@ fn main() {
         return;
     }
     assert!(
-        options.chaos || (options.plan.is_none() && !options.smoke),
-        "--plan and --smoke select fault plans; add --chaos"
+        options.chaos || options.plan.is_none(),
+        "--plan selects a fault plan; add --chaos"
     );
     assert!(
         !options.chaos
@@ -667,10 +664,9 @@ fn main() {
 
     let options = &loadtest.options;
     let runs = if options.chaos {
-        let plans = match (&options.plan, options.smoke) {
-            (Some(plan), _) => vec![plan.clone()],
-            (None, true) => vec![FaultPlan::trickle(), FaultPlan::torn()],
-            (None, false) => FaultPlan::suite(),
+        let plans = match &options.plan {
+            Some(plan) => vec![plan.clone()],
+            None => FaultPlan::suite(),
         };
         plans
             .iter()

@@ -1012,7 +1012,6 @@ impl<W: Write> CorpusWriter<W> {
 pub struct CorpusReader<R: Read> {
     source: R,
     compressed_allowed: bool,
-    frames_read: usize,
 }
 
 impl<R: Read> CorpusReader<R> {
@@ -1030,13 +1029,7 @@ impl<R: Read> CorpusReader<R> {
         Ok(Self {
             source,
             compressed_allowed,
-            frames_read: 0,
         })
-    }
-
-    /// Frames decoded so far.
-    pub fn frames_read(&self) -> usize {
-        self.frames_read
     }
 
     /// Reads the next frame, or `None` at a clean end of stream (which is
@@ -1151,7 +1144,6 @@ impl<R: Read> CorpusReader<R> {
             None
         };
 
-        self.frames_read += 1;
         Ok(Some(CorpusFrame {
             id: FrameId::new(sequence, index),
             payload: ProbPayload {

@@ -53,9 +53,6 @@ pub struct FaultPlan {
     /// Forward at most this many bytes per write (1 = maximal
     /// fragmentation); `None` forwards whole chunks.
     pub trickle: Option<usize>,
-    /// Sleep this long after every forwarded chunk (slows delivery without
-    /// fragmenting it).
-    pub chunk_delay: Duration,
     /// Stall (stop forwarding, keep the socket open) for
     /// [`FaultPlan::stall_for`] roughly every this many bytes.
     pub stall_every: Option<u64>,
@@ -85,7 +82,6 @@ impl FaultPlan {
         FaultPlan {
             name: "benign",
             trickle: None,
-            chunk_delay: Duration::ZERO,
             stall_every: None,
             stall_for: Duration::ZERO,
             cut_after: None,
@@ -234,7 +230,6 @@ impl FaultPlan {
         let corrupting = direction == Direction::Upstream;
         DirectionFaults {
             trickle: self.trickle,
-            chunk_delay: self.chunk_delay,
             stall_for: self.stall_for,
             next_stall: at(self.stall_every),
             stall_step,
@@ -284,7 +279,6 @@ enum LinkState {
 /// Realized fault offsets of one proxied direction.
 struct DirectionFaults {
     trickle: Option<usize>,
-    chunk_delay: Duration,
     stall_for: Duration,
     next_stall: Option<u64>,
     stall_step: u64,
@@ -367,9 +361,6 @@ impl DirectionFaults {
             }
             self.offset += take as u64;
             i += take;
-            if !self.chunk_delay.is_zero() {
-                thread::sleep(self.chunk_delay);
-            }
         }
         Ok(LinkState::Open)
     }

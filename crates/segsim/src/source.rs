@@ -77,11 +77,6 @@ where
             next_index: 0,
         }
     }
-
-    /// Index of the next frame that will be produced.
-    pub fn position(&self) -> usize {
-        self.next_index
-    }
 }
 
 impl<I: Iterator<Item = ProbMap>> FrameSource for DecodedFrameSource<I> {
@@ -130,11 +125,6 @@ impl<R: std::io::Read> CorpusFrameSource<R> {
             reader: CorpusReader::open(source)?,
             error: None,
         })
-    }
-
-    /// Number of frames replayed so far.
-    pub fn frames_read(&self) -> usize {
-        self.reader.frames_read()
     }
 
     /// The container error that ended the replay, if any. `None` after a
@@ -230,11 +220,6 @@ impl VideoStream {
     /// The scene backing the stream.
     pub fn scene(&self) -> &Scene {
         &self.scene
-    }
-
-    /// Index of the next frame that will be produced.
-    pub fn position(&self) -> usize {
-        self.next_t
     }
 }
 
@@ -332,7 +317,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, maps.len());
-        assert_eq!(source.position(), count);
     }
 
     #[test]
@@ -361,7 +345,6 @@ mod tests {
         }
         assert!(replay.next_frame().is_none());
         assert!(replay.read_error().is_none());
-        assert_eq!(replay.frames_read(), frames.len());
 
         // A torn corpus ends the replay with a typed error, not a panic.
         let cut = bytes.len() - 3;
@@ -379,10 +362,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sim = NetworkSim::new(NetworkProfile::weak());
         let mut stream = VideoStream::open_endless(&VideoConfig::small(), sim, 0, &mut rng);
-        for _ in 0..20 {
-            assert!(stream.next().is_some());
-        }
-        assert_eq!(stream.position(), 20);
+        let twentieth = stream.nth(19).expect("an endless stream never ends");
+        assert_eq!(twentieth.id.index, 19);
         assert_eq!(stream.size_hint().1, None);
     }
 

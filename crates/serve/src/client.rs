@@ -6,93 +6,79 @@
 //!
 //! The client is *deadline-bounded and retrying* by default:
 //! [`ServeClient::connect`] applies the [`ClientConfig::default`] socket
-//! deadlines (a stalled server surfaces as the typed, retryable
-//! [`ClientError::TimedOut`] instead of hanging a thread forever), and the
-//! `*_with_retry` helpers layer jittered exponential backoff on
-//! backpressure/overload plus reconnect-and-resume on transport faults: a
-//! chaos-killed connection does not kill its sessions — the client
+//! deadlines (a stalled server surfaces as [`ServeError::TimedOut`] instead
+//! of hanging a thread forever), and the `*_with_retry` helpers follow one
+//! rule, which [`ServeError::is_retryable`] reports:
+//!
+//! * `backpressure` and `overloaded`: back off (jittered, exponential) and
+//!   retry on the same connection;
+//! * transport failures, timeouts, undecodable replies and `bad-request`:
+//!   reconnect and resume the session;
+//! * `unknown-model`, `shutting-down` and `internal`: fail;
+//! * `unknown-session`: final for a submit, "already gone" for a close, and
+//!   retried for a resume while the dying connection still owns the
+//!   session.
+//!
+//! A chaos-killed connection does not kill its sessions — the client
 //! re-attaches with [`Request::Resume`] and picks up exactly where the
 //! server says it stopped.
 
-use crate::protocol::{ErrorCode, FrameFormat, ProtocolError, Request, Response};
+use crate::protocol::{ErrorCode, FrameFormat, Request, Response};
 use crate::wire::encode_binary_frame;
+use crate::ServeError;
 use metaseg::stream::{SegmentVerdict, SessionStats};
 use metaseg::DispersionPrecision;
 use metaseg_data::ProbMap;
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::Duration;
 
-/// Client-side failure of one request.
-#[derive(Debug)]
-pub enum ClientError {
-    /// The transport failed.
-    Io(io::Error),
-    /// A socket deadline expired mid-request. Retryable — but the stream
-    /// may hold a half-read response, so retry on a fresh connection
-    /// (see [`ServeClient::submit_with_retry`]).
-    TimedOut(io::Error),
-    /// The server's reply could not be decoded, or had an unexpected shape.
-    Protocol(String),
-    /// The server answered with a typed error.
-    Server {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Human-readable description.
-        message: String,
-    },
+/// What a `*_with_retry` loop does after a failed request: the one retry
+/// rule of the module docs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Recovery {
+    /// Overload: back off, then retry on the same connection.
+    Backoff,
+    /// The connection is suspect: reconnect and resume.
+    Reconnect,
+    /// The session is not open on this connection; each loop decides.
+    UnknownSession,
+    /// A verdict, not weather: retrying cannot help.
+    Fail,
 }
 
-impl ClientError {
-    /// The typed server error code, when this is a server-side rejection.
-    pub fn server_code(&self) -> Option<ErrorCode> {
-        match self {
-            ClientError::Server { code, .. } => Some(*code),
-            _ => None,
-        }
-    }
-
-    /// Whether retrying can plausibly succeed: overload rejections
-    /// ([`ErrorCode::Backpressure`], [`ErrorCode::Overloaded`]) retry on
-    /// the same connection after backing off; timeouts, transport errors
-    /// and desynchronised replies retry on a *fresh* connection (the
-    /// current stream may hold partial garbage). Other server rejections —
-    /// unknown session/model, bad request, shutting down, internal — are
-    /// verdicts, not weather, and retrying them verbatim cannot help.
+impl ServeError {
+    /// Whether the client's retry rule retries this error: overload
+    /// rejections back off and retry on the same connection; transport
+    /// failures, timeouts, undecodable replies and `bad-request` retry on a
+    /// *fresh* connection (the current stream may hold partial garbage).
+    /// `unknown-model`, `unknown-session`, `shutting-down`, `internal` and
+    /// the binary frame decode errors are final.
     pub fn is_retryable(&self) -> bool {
+        matches!(self.recovery(), Recovery::Backoff | Recovery::Reconnect)
+    }
+
+    fn recovery(&self) -> Recovery {
         match self {
-            ClientError::Io(_) | ClientError::TimedOut(_) | ClientError::Protocol(_) => true,
-            ClientError::Server { code, .. } => {
-                matches!(code, ErrorCode::Backpressure | ErrorCode::Overloaded)
+            ServeError::Io(_) | ServeError::TimedOut(_) | ServeError::Protocol(_) => {
+                Recovery::Reconnect
             }
-        }
-    }
-}
-
-impl fmt::Display for ClientError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClientError::Io(e) => write!(f, "transport error: {e}"),
-            ClientError::TimedOut(e) => write!(f, "request deadline expired: {e}"),
-            ClientError::Protocol(msg) => write!(f, "protocol error: {msg}"),
-            ClientError::Server { code, message } => write!(f, "server error [{code}]: {message}"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-impl From<io::Error> for ClientError {
-    fn from(value: io::Error) -> Self {
-        // On Unix an expired `SO_RCVTIMEO`/`SO_SNDTIMEO` surfaces as
-        // `WouldBlock`, on Windows as `TimedOut`; fold both into the typed
-        // retryable variant so every `?` site classifies deadlines for free.
-        match value.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ClientError::TimedOut(value),
-            _ => ClientError::Io(value),
+            ServeError::Server { code, .. } => match code {
+                ErrorCode::Backpressure | ErrorCode::Overloaded => Recovery::Backoff,
+                // A request corrupted on the wire fails its decode (a binary
+                // frame its checksum) and is rejected without being applied;
+                // the stream past the corruption is suspect.
+                ErrorCode::BadRequest => Recovery::Reconnect,
+                ErrorCode::UnknownSession => Recovery::UnknownSession,
+                ErrorCode::UnknownModel | ErrorCode::ShuttingDown | ErrorCode::Internal => {
+                    Recovery::Fail
+                }
+            },
+            // The binary frame and payload variants come from decoding a
+            // frame, which only the server does.
+            _ => Recovery::Fail,
         }
     }
 }
@@ -153,12 +139,6 @@ pub enum Submission {
     },
 }
 
-impl From<ProtocolError> for ClientError {
-    fn from(value: ProtocolError) -> Self {
-        ClientError::Protocol(value.to_string())
-    }
-}
-
 /// A blocking connection to a serve instance.
 ///
 /// Starts on the JSON-lines protocol; [`ServeClient::negotiate`] switches
@@ -195,12 +175,12 @@ impl ServeClient {
     /// Connects to a running server with [`ClientConfig::default`]: frame
     /// format JSON until negotiated, and — deliberately — socket read/write
     /// deadlines applied, so a wedged or maliciously slow server surfaces
-    /// as [`ClientError::TimedOut`] instead of hanging the calling thread.
+    /// as [`ServeError::TimedOut`] instead of hanging the calling thread.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error when the connection fails.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
+    /// Returns the transport error when the connection fails.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
         Self::connect_with(addr, ClientConfig::default())
     }
 
@@ -208,8 +188,11 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error when resolution or connection fails.
-    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> io::Result<Self> {
+    /// Returns the transport error when resolution or connection fails.
+    pub fn connect_with(
+        addr: impl ToSocketAddrs,
+        config: ClientConfig,
+    ) -> Result<Self, ServeError> {
         let peers: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let (reader, writer) = Self::establish(&peers, &config)?;
         Ok(Self {
@@ -255,11 +238,6 @@ impl ServeClient {
         self.reconnects
     }
 
-    /// The active deadline/retry policy.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
-    }
-
     /// The frame-submission format currently in effect.
     pub fn frame_format(&self) -> FrameFormat {
         self.format
@@ -269,13 +247,13 @@ impl ServeClient {
     /// [`ServeClient::submit`] calls use it. A server predating binary
     /// framing rejects the op with `bad-request`, in which case the
     /// connection stays on JSON — callers wanting graceful fallback can
-    /// match on [`ClientError::server_code`].
+    /// match on [`ServeError::server_code`].
     ///
     /// # Errors
     ///
     /// Fails on transport errors or a typed server rejection; the format in
     /// effect is unchanged on failure.
-    pub fn negotiate(&mut self, format: FrameFormat) -> Result<(), ClientError> {
+    pub fn negotiate(&mut self, format: FrameFormat) -> Result<(), ServeError> {
         self.negotiate_with_dispersion(format, DispersionPrecision::F64)
     }
 
@@ -295,7 +273,7 @@ impl ServeClient {
         &mut self,
         format: FrameFormat,
         dispersion: DispersionPrecision,
-    ) -> Result<(), ClientError> {
+    ) -> Result<(), ServeError> {
         self.expect(&Request::Negotiate { format, dispersion }, |r| match r {
             Response::Negotiated { format, dispersion } => Ok((format, dispersion)),
             other => Err(other),
@@ -308,19 +286,8 @@ impl ServeClient {
         })
     }
 
-    /// Sends one request and reads its response. Server-side `Error`
-    /// responses are returned as `Ok(Response::Error { .. })` here; the
-    /// typed helpers below turn them into [`ClientError::Server`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors and undecodable replies.
-    pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.roundtrip(&request.encode())
-    }
-
     /// One already-encoded line out, one response in.
-    fn roundtrip(&mut self, line: &str) -> Result<Response, ClientError> {
+    fn roundtrip(&mut self, line: &str) -> Result<Response, ServeError> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
         self.read_response()
@@ -328,26 +295,26 @@ impl ServeClient {
 
     /// Reads one JSON response line (every response is a JSON line, whatever
     /// format the request went out in).
-    fn read_response(&mut self) -> Result<Response, ClientError> {
+    fn read_response(&mut self) -> Result<Response, ServeError> {
         let mut reply = String::new();
         let read = self.reader.read_line(&mut reply)?;
         if read == 0 {
-            return Err(ClientError::Protocol(
+            return Err(ServeError::Protocol(
                 "server closed the connection".to_string(),
             ));
         }
-        Ok(Response::decode(reply.trim_end())?)
+        Response::decode(reply.trim_end())
     }
 
     fn finish<T>(
         &mut self,
         response: Response,
         extract: impl FnOnce(Response) -> Result<T, Response>,
-    ) -> Result<T, ClientError> {
+    ) -> Result<T, ServeError> {
         match response {
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            Response::Error { code, message } => Err(ServeError::Server { code, message }),
             other => extract(other)
-                .map_err(|r| ClientError::Protocol(format!("unexpected response {r:?}"))),
+                .map_err(|r| ServeError::Protocol(format!("unexpected response {r:?}"))),
         }
     }
 
@@ -355,8 +322,8 @@ impl ServeClient {
         &mut self,
         request: &Request,
         extract: impl FnOnce(Response) -> Result<T, Response>,
-    ) -> Result<T, ClientError> {
-        let response = self.request(request)?;
+    ) -> Result<T, ServeError> {
+        let response = self.roundtrip(&request.encode())?;
         self.finish(response, extract)
     }
 
@@ -365,7 +332,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// Fails on transport errors or a typed server rejection.
-    pub fn open(&mut self, model: &str, camera: &str) -> Result<(u64, usize), ClientError> {
+    pub fn open(&mut self, model: &str, camera: &str) -> Result<(u64, usize), ServeError> {
         self.expect(
             &Request::Open {
                 model: model.to_string(),
@@ -396,7 +363,7 @@ impl ServeClient {
         &mut self,
         session: u64,
         probs: &ProbMap,
-    ) -> Result<(usize, Vec<SegmentVerdict>), ClientError> {
+    ) -> Result<(usize, Vec<SegmentVerdict>), ServeError> {
         let response = match self.format {
             // Encode from the borrowed field — no per-frame ProbMap clone.
             FrameFormat::Json => self.roundtrip(&Request::encode_frame(session, probs))?,
@@ -429,7 +396,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// Fails on transport errors or a typed server rejection.
-    pub fn stats(&mut self, session: u64) -> Result<SessionStats, ClientError> {
+    pub fn stats(&mut self, session: u64) -> Result<SessionStats, ServeError> {
         self.expect(&Request::Stats { session }, |r| match r {
             Response::Stats { stats, .. } => Ok(stats),
             other => Err(other),
@@ -441,7 +408,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// Fails on transport errors or a typed server rejection.
-    pub fn close(&mut self, session: u64) -> Result<SessionStats, ClientError> {
+    pub fn close(&mut self, session: u64) -> Result<SessionStats, ServeError> {
         self.expect(&Request::Close { session }, |r| match r {
             Response::Closed { stats, .. } => Ok(stats),
             other => Err(other),
@@ -457,7 +424,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// Fails on transport errors or a typed server rejection.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
+    pub fn ping(&mut self) -> Result<(), ServeError> {
         self.expect(&Request::Ping, |r| match r {
             Response::Pong => Ok(()),
             other => Err(other),
@@ -475,7 +442,7 @@ impl ServeClient {
     /// Fails on transport errors or a typed server rejection —
     /// [`ErrorCode::UnknownSession`] when the session expired, was closed,
     /// or is still owned by another live connection.
-    pub fn resume(&mut self, session: u64) -> Result<usize, ClientError> {
+    pub fn resume(&mut self, session: u64) -> Result<usize, ServeError> {
         self.expect(&Request::Resume { session }, |r| match r {
             Response::Resumed {
                 session: s, frames, ..
@@ -496,7 +463,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// Fails when no peer accepts the connection or renegotiation fails.
-    pub fn reconnect(&mut self) -> Result<(), ClientError> {
+    pub fn reconnect(&mut self) -> Result<(), ServeError> {
         // Hasten the server-side EOF of the old connection so the session
         // orphaning (and thus resume) happens promptly.
         let _ = self.writer.shutdown(Shutdown::Both);
@@ -518,182 +485,128 @@ impl ServeClient {
         Ok(())
     }
 
-    /// Reconnects and resumes `session`, retrying with backoff. Retries an
-    /// `unknown-session` denial too: right after a connection fault the
-    /// server may not have processed the old connection's death yet, in
-    /// which case the session is still owned by the dying connection and
-    /// resume is briefly denied.
-    fn reestablish(&mut self, session: u64) -> Result<usize, ClientError> {
-        let mut last: Option<ClientError> = None;
+    /// Resumes `session` under the retry rule, on a fresh connection from
+    /// the first attempt when `reconnect` is set and from the first failure
+    /// that calls for one otherwise. An `unknown-session` denial backs off
+    /// and retries like overload: right after a connection fault the server
+    /// may not have processed the old connection's death yet, so the dying
+    /// connection still owns the session and resume is briefly denied.
+    fn resume_with_retry(
+        &mut self,
+        session: u64,
+        mut reconnect: bool,
+    ) -> Result<usize, ServeError> {
+        let mut last = None;
         for attempt in 0..self.config.max_retries.max(1) {
-            if let Err(e) = self.reconnect() {
-                last = Some(e);
-                self.backoff(attempt);
-                continue;
-            }
-            match self.resume(session) {
+            let resumed = if reconnect {
+                self.reconnect().and_then(|()| self.resume(session))
+            } else {
+                self.resume(session)
+            };
+            let e = match resumed {
                 Ok(frames) => return Ok(frames),
-                Err(e)
-                    if e.is_retryable() || e.server_code() == Some(ErrorCode::UnknownSession) =>
-                {
-                    last = Some(e);
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
+                Err(e) => e,
+            };
+            match e.recovery() {
+                Recovery::Fail => return Err(e),
+                Recovery::Reconnect => reconnect = true,
+                Recovery::Backoff | Recovery::UnknownSession => {}
             }
+            last = Some(e);
+            self.backoff(attempt);
         }
-        Err(last
-            .unwrap_or_else(|| ClientError::Protocol("reconnect attempts exhausted".to_string())))
+        Err(last.unwrap_or_else(|| ServeError::Protocol("resume attempts exhausted".to_string())))
     }
 
     /// Resumes `session` on the current connection when a reconnect made
-    /// for another session left it orphaned. Retries an `unknown-session`
-    /// denial with backoff, as [`ServeClient::reestablish`] does; any other
-    /// failure reestablishes on a fresh connection.
-    fn rebind(&mut self, session: u64) -> Result<(), ClientError> {
+    /// for another session left it orphaned.
+    fn rebind(&mut self, session: u64) -> Result<(), ServeError> {
         if self.bound.contains(&session) || !self.acked.contains_key(&session) {
             return Ok(());
         }
-        let mut last: Option<ClientError> = None;
-        for attempt in 0..self.config.max_retries.max(1) {
-            match self.resume(session) {
-                Ok(_) => return Ok(()),
-                Err(e) if e.server_code() == Some(ErrorCode::UnknownSession) => {
-                    last = Some(e);
-                    self.backoff(attempt);
-                }
-                Err(_) => return self.reestablish(session).map(drop),
-            }
-        }
-        Err(last.unwrap_or_else(|| ClientError::Protocol("resume attempts exhausted".to_string())))
+        self.resume_with_retry(session, false).map(drop)
     }
 
-    /// Submits one frame, riding out transient failure: overload
-    /// rejections back off and retry on the same connection; transport
-    /// faults, timeouts, desynchronised replies and `bad-request` (a frame
-    /// corrupted *on the wire* fails the binary checksum and is rejected
-    /// without being applied — and the stream past the corruption is
-    /// suspect) reconnect, resume the session and — unless the server
-    /// reports the frame as already applied — resubmit. The
-    /// applied-but-response-lost case comes back as [`Submission::Applied`]
-    /// so the stream never double-applies a frame. A session left on an
-    /// earlier connection, when a fault on another session of this client
-    /// reconnected it, is resumed before the frame goes out.
+    /// Submits one frame under the retry rule. After a reconnect-and-resume
+    /// the frame is resubmitted unless the server reports it as already
+    /// applied: that applied-but-response-lost case comes back as
+    /// [`Submission::Applied`], so the stream never double-applies a frame.
+    /// A session left on an earlier connection, when a fault on another
+    /// session of this client reconnected it, is resumed before the frame
+    /// goes out.
     ///
     /// # Errors
     ///
-    /// Fails when retries are exhausted or on a non-retryable server
-    /// rejection (unknown session/model, shutdown, internal error).
+    /// Fails when retries are exhausted, on `unknown-session`, or on an
+    /// error the rule calls final.
     pub fn submit_with_retry(
         &mut self,
         session: u64,
         probs: &ProbMap,
-    ) -> Result<Submission, ClientError> {
+    ) -> Result<Submission, ServeError> {
         self.rebind(session)?;
         let expected = self.acked.get(&session).copied().unwrap_or(0);
-        let mut last: Option<ClientError> = None;
+        let mut last = None;
         for attempt in 0..self.config.max_retries.max(1) {
-            match self.submit(session, probs) {
+            let e = match self.submit(session, probs) {
                 Ok((frame, verdicts)) => return Ok(Submission::Served { frame, verdicts }),
-                Err(
-                    e @ ClientError::Server {
-                        code: ErrorCode::Backpressure | ErrorCode::Overloaded,
-                        ..
-                    },
-                ) => {
-                    last = Some(e);
-                    self.backoff(attempt);
-                }
-                Err(
-                    e @ ClientError::Server {
-                        code:
-                            ErrorCode::UnknownSession
-                            | ErrorCode::UnknownModel
-                            | ErrorCode::ShuttingDown
-                            | ErrorCode::Internal,
-                        ..
-                    },
-                ) => return Err(e),
-                Err(e) => {
-                    // Transport fault / timeout / desync / wire-corrupted
-                    // frame: the connection is suspect and (except for the
-                    // typed rejection) we cannot know whether the frame
-                    // landed. Reconnect, resume, and let the server's
-                    // applied count arbitrate.
-                    last = Some(e);
-                    let frames = self.reestablish(session)?;
+                Err(e) => e,
+            };
+            match e.recovery() {
+                Recovery::Backoff => self.backoff(attempt),
+                Recovery::Reconnect => {
+                    // Unless the server rejected the frame, we cannot know
+                    // whether it landed: the resumed applied count decides.
+                    let frames = self.resume_with_retry(session, true)?;
                     if frames > expected {
                         return Ok(Submission::Applied { frame: frames - 1 });
                     }
                 }
+                Recovery::UnknownSession | Recovery::Fail => return Err(e),
             }
+            last = Some(e);
         }
-        Err(last.unwrap_or_else(|| ClientError::Protocol("submit attempts exhausted".to_string())))
+        Err(last.unwrap_or_else(|| ServeError::Protocol("submit attempts exhausted".to_string())))
     }
 
-    /// Closes a session, riding out transient failure like
-    /// [`ServeClient::submit_with_retry`]. Returns `Ok(None)` when the
+    /// Closes a session under the retry rule. Returns `Ok(None)` when the
     /// session is already gone server-side — closed by a racing request
     /// whose response was lost, or expired past its linger window — in
     /// which case the final statistics are unavailable.
     ///
     /// # Errors
     ///
-    /// Fails when retries are exhausted or on a non-retryable server
-    /// rejection.
-    pub fn close_with_retry(&mut self, session: u64) -> Result<Option<SessionStats>, ClientError> {
-        let mut last: Option<ClientError> = None;
+    /// Fails when retries are exhausted or on an error the rule calls
+    /// final.
+    pub fn close_with_retry(&mut self, session: u64) -> Result<Option<SessionStats>, ServeError> {
+        let mut last = None;
         for attempt in 0..self.config.max_retries.max(1) {
-            match self.rebind(session).and_then(|()| self.close(session)) {
+            let e = match self.rebind(session).and_then(|()| self.close(session)) {
                 Ok(stats) => return Ok(Some(stats)),
-                Err(ClientError::Server {
-                    code: ErrorCode::UnknownSession,
-                    ..
-                }) => {
+                Err(e) => e,
+            };
+            let e = match e.recovery() {
+                // A close line corrupted on the wire, or a reply lost with
+                // its connection: resume on a fresh one, then close again.
+                Recovery::Reconnect => match self.resume_with_retry(session, true) {
+                    Ok(_) => continue,
+                    Err(resume_error) => resume_error,
+                },
+                _ => e,
+            };
+            match e.recovery() {
+                Recovery::UnknownSession => {
+                    // The close landed and its response was lost, or the
+                    // linger expired: either way the session is gone.
                     self.acked.remove(&session);
                     return Ok(None);
                 }
-                Err(
-                    e @ ClientError::Server {
-                        code: ErrorCode::Backpressure | ErrorCode::Overloaded,
-                        ..
-                    },
-                ) => {
-                    last = Some(e);
-                    self.backoff(attempt);
-                }
-                Err(
-                    e @ ClientError::Server {
-                        code:
-                            ErrorCode::UnknownModel | ErrorCode::ShuttingDown | ErrorCode::Internal,
-                        ..
-                    },
-                ) => return Err(e),
-                Err(e) => {
-                    // Transport fault, timeout, desync or a close line
-                    // corrupted on the wire (`bad-request`): retry on a
-                    // fresh connection.
-                    last = Some(e);
-                    match self.reestablish(session) {
-                        Ok(_) => {} // resumed — retry the close
-                        Err(ClientError::Server {
-                            code: ErrorCode::UnknownSession,
-                            ..
-                        }) => {
-                            // The close landed and its response was lost,
-                            // or the linger expired: either way it is gone.
-                            self.acked.remove(&session);
-                            return Ok(None);
-                        }
-                        Err(e2) => {
-                            last = Some(e2);
-                            self.backoff(attempt);
-                        }
-                    }
-                }
+                Recovery::Fail => return Err(e),
+                Recovery::Backoff | Recovery::Reconnect => self.backoff(attempt),
             }
+            last = Some(e);
         }
-        Err(last.unwrap_or_else(|| ClientError::Protocol("close attempts exhausted".to_string())))
+        Err(last.unwrap_or_else(|| ServeError::Protocol("close attempts exhausted".to_string())))
     }
 
     /// Sleeps the jittered exponential backoff delay for `attempt`

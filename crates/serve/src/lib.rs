@@ -24,7 +24,9 @@
 //!   payloads behind a fixed checksummed header; see the module docs for
 //!   the byte layout),
 //! * [`ServeClient`] — a small blocking client for tests, demos and load
-//!   generators.
+//!   generators,
+//! * [`ServeError`] — the one error type: every decoder and every client
+//!   method returns it.
 //!
 //! [`MetaPredictor`]: metaseg_learners::MetaPredictor
 //!
@@ -121,10 +123,11 @@
 //! with a typed [`ErrorCode::Overloaded`] reply, and a bounded
 //! per-connection output buffer evicts slow consumers instead of buffering
 //! without limit. The client assumes the network misbehaves: socket
-//! deadlines by default, jittered exponential backoff on overload, and
-//! reconnect-resume on connection faults ([`ClientConfig`],
-//! [`ServeClient::submit_with_retry`], [`Submission`]). The whole stack is
-//! exercised end to end by the byte-level chaos proxy
+//! deadlines by default, and one retry rule ([`ServeError::is_retryable`]):
+//! jittered exponential backoff on overload, reconnect-resume on transport
+//! faults, timeouts, undecodable replies and `bad-request`
+//! ([`ClientConfig`], [`ServeClient::submit_with_retry`], [`Submission`]).
+//! The whole stack is exercised end to end by the byte-level chaos proxy
 //! (`metaseg_sim::ChaosProxy`) in the `chaos` integration tests and the
 //! `serve_loadtest --chaos` survival bench.
 
@@ -132,6 +135,7 @@
 #![warn(missing_docs)]
 
 mod client;
+mod error;
 mod protocol;
 mod registry;
 mod server;
@@ -139,11 +143,11 @@ mod shard;
 mod transport;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientError, ServeClient, Submission};
-pub use protocol::{ErrorCode, FrameFormat, ProtocolError, Request, Response};
+pub use client::{ClientConfig, ServeClient, Submission};
+pub use error::ServeError;
+pub use protocol::{ErrorCode, FrameFormat, Request, Response};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats, ShardStats};
-pub use wire::WireError;
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -18,14 +18,16 @@
 //! the in-process one after the round-trip (floats travel in shortest
 //! round-trip form).
 //!
-//! Decoding is total: any malformed line becomes a [`ProtocolError`], which
-//! the server answers with [`ErrorCode::BadRequest`] instead of dropping the
-//! connection — one garbled camera payload must not kill a session.
+//! Decoding is total: any malformed line becomes a
+//! [`ServeError::Protocol`], which the server answers with
+//! [`ErrorCode::BadRequest`] instead of dropping the connection — one
+//! garbled camera payload must not kill a session.
 
+use crate::ServeError;
 use metaseg::stream::{SegmentVerdict, SessionStats};
 use metaseg::DispersionPrecision;
 use metaseg_data::{ProbEncoding, ProbMap};
-use serde::{Deserialize, DeserializeError, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// The frame-submission format of a connection.
@@ -260,30 +262,6 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// A wire message that could not be decoded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtocolError(String);
-
-impl ProtocolError {
-    fn new(message: impl Into<String>) -> Self {
-        Self(message.into())
-    }
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "protocol error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-impl From<DeserializeError> for ProtocolError {
-    fn from(value: DeserializeError) -> Self {
-        Self::new(value.to_string())
-    }
-}
-
 fn object(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
         entries
@@ -293,37 +271,38 @@ fn object(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn required<'a>(value: &'a Value, key: &str) -> Result<&'a Value, ProtocolError> {
+fn required<'a>(value: &'a Value, key: &str) -> Result<&'a Value, ServeError> {
     value
         .get(key)
-        .ok_or_else(|| ProtocolError::new(format!("missing field `{key}`")))
+        .ok_or_else(|| ServeError::Protocol(format!("missing field `{key}`")))
 }
 
-fn u64_field(value: &Value, key: &str) -> Result<u64, ProtocolError> {
-    required(value, key)?
-        .as_u64()
-        .ok_or_else(|| ProtocolError::new(format!("field `{key}` must be a non-negative integer")))
+fn u64_field(value: &Value, key: &str) -> Result<u64, ServeError> {
+    required(value, key)?.as_u64().ok_or_else(|| {
+        ServeError::Protocol(format!("field `{key}` must be a non-negative integer"))
+    })
 }
 
 /// Optional `"dispersion"` field of negotiation messages: an absent key is
 /// the f64 default, so pre-fast-path peers interoperate unchanged.
-fn dispersion_field(value: &Value) -> Result<DispersionPrecision, ProtocolError> {
+fn dispersion_field(value: &Value) -> Result<DispersionPrecision, ServeError> {
     match value.get("dispersion") {
         None => Ok(DispersionPrecision::F64),
         Some(field) => {
-            let text = field
-                .as_str()
-                .ok_or_else(|| ProtocolError::new("field `dispersion` must be a string"))?;
-            DispersionPrecision::from_name(text)
-                .ok_or_else(|| ProtocolError::new(format!("unknown dispersion precision `{text}`")))
+            let text = field.as_str().ok_or_else(|| {
+                ServeError::Protocol("field `dispersion` must be a string".into())
+            })?;
+            DispersionPrecision::from_name(text).ok_or_else(|| {
+                ServeError::Protocol(format!("unknown dispersion precision `{text}`"))
+            })
         }
     }
 }
 
-fn string_field(value: &Value, key: &str) -> Result<String, ProtocolError> {
+fn string_field(value: &Value, key: &str) -> Result<String, ServeError> {
     Ok(required(value, key)?
         .as_str()
-        .ok_or_else(|| ProtocolError::new(format!("field `{key}` must be a string")))?
+        .ok_or_else(|| ServeError::Protocol(format!("field `{key}` must be a string")))?
         .to_string())
 }
 
@@ -380,12 +359,12 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a [`ProtocolError`] on malformed JSON, an unknown `op`, or a
-    /// missing/mistyped field; the server answers these with
+    /// Returns [`ServeError::Protocol`] on malformed JSON, an unknown `op`,
+    /// or a missing/mistyped field; the server answers these with
     /// [`ErrorCode::BadRequest`] rather than closing the connection.
-    pub fn decode(line: &str) -> Result<Self, ProtocolError> {
+    pub fn decode(line: &str) -> Result<Self, ServeError> {
         let value: Value =
-            serde_json::from_str(line).map_err(|e| ProtocolError::new(e.to_string()))?;
+            serde_json::from_str(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
         let op = string_field(&value, "op")?;
         match op.as_str() {
             "open" => Ok(Request::Open {
@@ -408,14 +387,15 @@ impl Request {
             "ping" => Ok(Request::Ping),
             "negotiate" => {
                 let text = string_field(&value, "frames")?;
-                let format = FrameFormat::from_str_opt(&text)
-                    .ok_or_else(|| ProtocolError::new(format!("unknown frame format `{text}`")))?;
+                let format = FrameFormat::from_str_opt(&text).ok_or_else(|| {
+                    ServeError::Protocol(format!("unknown frame format `{text}`"))
+                })?;
                 Ok(Request::Negotiate {
                     format,
                     dispersion: dispersion_field(&value)?,
                 })
             }
-            other => Err(ProtocolError::new(format!("unknown op `{other}`"))),
+            other => Err(ServeError::Protocol(format!("unknown op `{other}`"))),
         }
     }
 }
@@ -480,17 +460,17 @@ impl Response {
     ///
     /// # Errors
     ///
-    /// Returns a [`ProtocolError`] on malformed JSON, an unknown `ok`/`err`
-    /// discriminator, or a missing/mistyped field.
-    pub fn decode(line: &str) -> Result<Self, ProtocolError> {
+    /// Returns [`ServeError::Protocol`] on malformed JSON, an unknown
+    /// `ok`/`err` discriminator, or a missing/mistyped field.
+    pub fn decode(line: &str) -> Result<Self, ServeError> {
         let value: Value =
-            serde_json::from_str(line).map_err(|e| ProtocolError::new(e.to_string()))?;
+            serde_json::from_str(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
         if let Some(err) = value.get("err") {
             let code_text = err
                 .as_str()
-                .ok_or_else(|| ProtocolError::new("field `err` must be a string"))?;
+                .ok_or_else(|| ServeError::Protocol("field `err` must be a string".into()))?;
             let code = ErrorCode::from_str_opt(code_text)
-                .ok_or_else(|| ProtocolError::new(format!("unknown error code `{code_text}`")))?;
+                .ok_or_else(|| ServeError::Protocol(format!("unknown error code `{code_text}`")))?;
             return Ok(Response::Error {
                 code,
                 message: string_field(&value, "message")?,
@@ -522,14 +502,15 @@ impl Response {
             "pong" => Ok(Response::Pong),
             "negotiated" => {
                 let text = string_field(&value, "frames")?;
-                let format = FrameFormat::from_str_opt(&text)
-                    .ok_or_else(|| ProtocolError::new(format!("unknown frame format `{text}`")))?;
+                let format = FrameFormat::from_str_opt(&text).ok_or_else(|| {
+                    ServeError::Protocol(format!("unknown frame format `{text}`"))
+                })?;
                 Ok(Response::Negotiated {
                     format,
                     dispersion: dispersion_field(&value)?,
                 })
             }
-            other => Err(ProtocolError::new(format!("unknown response `{other}`"))),
+            other => Err(ServeError::Protocol(format!("unknown response `{other}`"))),
         }
     }
 }

@@ -57,8 +57,8 @@
 //! assert_eq!((session, decoded), (7, probs));
 //! ```
 
-use metaseg_data::{DataError, ProbEncoding, ProbMap, ProbPayload};
-use std::fmt;
+use crate::ServeError;
+use metaseg_data::{ProbEncoding, ProbMap, ProbPayload};
 
 /// First byte of every binary frame. JSON lines from this protocol always
 /// start with `{`, so one peeked byte routes a connection's next message.
@@ -69,125 +69,6 @@ pub const BINARY_FRAME_VERSION: u8 = 1;
 
 /// Size of the fixed frame header in bytes.
 pub const BINARY_HEADER_LEN: usize = 36;
-
-/// A binary frame that could not be decoded. Every variant is typed so the
-/// server can answer a precise `bad-request` message and stay in sync.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireError {
-    /// The input ended before the fixed header or the declared payload.
-    Truncated {
-        /// Bytes the decoder needed.
-        needed: usize,
-        /// Bytes it found.
-        found: usize,
-    },
-    /// The first byte is not [`BINARY_FRAME_MAGIC`].
-    BadMagic(u8),
-    /// The header declares a protocol version this build does not speak.
-    UnsupportedVersion(u8),
-    /// The header's encoding tag is not a known [`ProbEncoding`].
-    UnknownEncoding(u8),
-    /// The reserved header byte is non-zero.
-    NonZeroReserved(u8),
-    /// The declared shape has a zero dimension.
-    ZeroDimension {
-        /// Declared width.
-        width: u32,
-        /// Declared height.
-        height: u32,
-        /// Declared channels.
-        channels: u32,
-    },
-    /// The declared payload length does not equal
-    /// `width * height * channels * bytes_per_value`.
-    LengthMismatch {
-        /// Payload length the header declares.
-        declared: u64,
-        /// Payload length the shape implies.
-        expected: u64,
-    },
-    /// The declared payload exceeds the receiver's size cap; nothing was
-    /// allocated.
-    PayloadTooLarge {
-        /// Payload length the header declares.
-        declared: u64,
-        /// The receiver's cap in bytes.
-        limit: u64,
-    },
-    /// The payload's CRC-32 does not match the header.
-    ChecksumMismatch {
-        /// Checksum the header declares.
-        declared: u32,
-        /// Checksum computed over the received payload.
-        computed: u32,
-    },
-    /// The payload failed the byte-level [`ProbMap`] decode.
-    Data(DataError),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated { needed, found } => {
-                write!(
-                    f,
-                    "binary frame truncated: needed {needed} bytes, got {found}"
-                )
-            }
-            WireError::BadMagic(byte) => {
-                write!(f, "not a binary frame: first byte {byte:#04x}")
-            }
-            WireError::UnsupportedVersion(version) => write!(
-                f,
-                "unsupported binary frame version {version} (this build speaks \
-                 {BINARY_FRAME_VERSION})"
-            ),
-            WireError::UnknownEncoding(tag) => {
-                write!(f, "unknown payload encoding tag {tag}")
-            }
-            WireError::NonZeroReserved(byte) => {
-                write!(f, "reserved header byte must be 0, got {byte:#04x}")
-            }
-            WireError::ZeroDimension {
-                width,
-                height,
-                channels,
-            } => write!(
-                f,
-                "frame header declares a zero dimension ({width}x{height}x{channels})"
-            ),
-            WireError::LengthMismatch { declared, expected } => write!(
-                f,
-                "frame header declares {declared} payload bytes but its shape requires {expected}"
-            ),
-            WireError::PayloadTooLarge { declared, limit } => write!(
-                f,
-                "frame payload of {declared} bytes exceeds the receiver's cap of {limit}"
-            ),
-            WireError::ChecksumMismatch { declared, computed } => write!(
-                f,
-                "payload checksum mismatch: header declares {declared:#010x}, \
-                 payload hashes to {computed:#010x}"
-            ),
-            WireError::Data(e) => write!(f, "payload decode failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WireError::Data(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<DataError> for WireError {
-    fn from(value: DataError) -> Self {
-        WireError::Data(value)
-    }
-}
 
 /// CRC-32 (IEEE) of a byte slice — the payload checksum of the frame header.
 ///
@@ -245,25 +126,26 @@ impl BinaryFrameHeader {
     ///
     /// # Errors
     ///
-    /// Returns the typed [`WireError`] for a short buffer, wrong magic,
-    /// unsupported version, unknown encoding tag or non-zero reserved byte.
-    pub fn parse(bytes: &[u8]) -> Result<Self, WireError> {
+    /// Returns [`ServeError::Truncated`], [`ServeError::BadMagic`],
+    /// [`ServeError::UnsupportedVersion`], [`ServeError::UnknownEncoding`] or
+    /// [`ServeError::NonZeroReserved`].
+    pub fn parse(bytes: &[u8]) -> Result<Self, ServeError> {
         if bytes.len() < BINARY_HEADER_LEN {
-            return Err(WireError::Truncated {
+            return Err(ServeError::Truncated {
                 needed: BINARY_HEADER_LEN,
                 found: bytes.len(),
             });
         }
         if bytes[0] != BINARY_FRAME_MAGIC {
-            return Err(WireError::BadMagic(bytes[0]));
+            return Err(ServeError::BadMagic(bytes[0]));
         }
         if bytes[1] != BINARY_FRAME_VERSION {
-            return Err(WireError::UnsupportedVersion(bytes[1]));
+            return Err(ServeError::UnsupportedVersion(bytes[1]));
         }
         let encoding =
-            ProbEncoding::from_tag(bytes[2]).ok_or(WireError::UnknownEncoding(bytes[2]))?;
+            ProbEncoding::from_tag(bytes[2]).ok_or(ServeError::UnknownEncoding(bytes[2]))?;
         if bytes[3] != 0 {
-            return Err(WireError::NonZeroReserved(bytes[3]));
+            return Err(ServeError::NonZeroReserved(bytes[3]));
         }
         Ok(Self {
             session: le_u64(bytes, 4),
@@ -281,12 +163,12 @@ impl BinaryFrameHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::ZeroDimension`] for empty shapes,
-    /// [`WireError::LengthMismatch`] when the header lies about its own
-    /// shape, and [`WireError::PayloadTooLarge`] beyond `max_payload_bytes`.
-    pub fn checked_payload_len(&self, max_payload_bytes: u64) -> Result<usize, WireError> {
+    /// Returns [`ServeError::ZeroDimension`] for empty shapes,
+    /// [`ServeError::LengthMismatch`] when the header lies about its own
+    /// shape, and [`ServeError::PayloadTooLarge`] beyond `max_payload_bytes`.
+    pub fn checked_payload_len(&self, max_payload_bytes: u64) -> Result<usize, ServeError> {
         if self.width == 0 || self.height == 0 || self.channels == 0 {
-            return Err(WireError::ZeroDimension {
+            return Err(ServeError::ZeroDimension {
                 width: self.width,
                 height: self.height,
                 channels: self.channels,
@@ -299,18 +181,18 @@ impl BinaryFrameHeader {
             * u128::from(self.channels)
             * self.encoding.bytes_per_value() as u128;
         if expected != u128::from(self.payload_len) {
-            return Err(WireError::LengthMismatch {
+            return Err(ServeError::LengthMismatch {
                 declared: self.payload_len,
                 expected: expected.min(u128::from(u64::MAX)) as u64,
             });
         }
         if self.payload_len > max_payload_bytes {
-            return Err(WireError::PayloadTooLarge {
+            return Err(ServeError::PayloadTooLarge {
                 declared: self.payload_len,
                 limit: max_payload_bytes,
             });
         }
-        usize::try_from(self.payload_len).map_err(|_| WireError::PayloadTooLarge {
+        usize::try_from(self.payload_len).map_err(|_| ServeError::PayloadTooLarge {
             declared: self.payload_len,
             limit: usize::MAX as u64,
         })
@@ -321,11 +203,11 @@ impl BinaryFrameHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::ChecksumMismatch`] or the typed payload decode
-    /// error. Call [`BinaryFrameHeader::checked_payload_len`] first; a
+    /// Returns [`ServeError::ChecksumMismatch`] or [`ServeError::Data`].
+    /// Call [`BinaryFrameHeader::checked_payload_len`] first; a
     /// payload of a different length than declared fails the size check of
     /// the inner decode.
-    pub fn decode_payload(&self, payload: &[u8]) -> Result<ProbMap, WireError> {
+    pub fn decode_payload(&self, payload: &[u8]) -> Result<ProbMap, ServeError> {
         Ok(self.verified_payload(payload.to_vec())?.decode()?)
     }
 
@@ -337,14 +219,14 @@ impl BinaryFrameHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::ChecksumMismatch`] when the bytes do not match
-    /// the declared CRC-32, and the typed shape/size error when the header's
+    /// Returns [`ServeError::ChecksumMismatch`] when the bytes do not match
+    /// the declared CRC-32, and [`ServeError::Data`] when the header's
     /// shape disagrees with the byte count. On error the payload bytes are
     /// dropped; the connection stays usable.
-    pub fn verified_payload(&self, payload: Vec<u8>) -> Result<ProbPayload, WireError> {
+    pub fn verified_payload(&self, payload: Vec<u8>) -> Result<ProbPayload, ServeError> {
         let computed = crc32(&payload);
         if computed != self.checksum {
-            return Err(WireError::ChecksumMismatch {
+            return Err(ServeError::ChecksumMismatch {
                 declared: self.checksum,
                 computed,
             });
@@ -421,22 +303,23 @@ pub fn encode_binary_frame(session: u64, probs: &ProbMap, encoding: ProbEncoding
 /// Decodes one complete binary frame from a byte slice: header syntax,
 /// payload bounds (against `max_payload_bytes`), checksum, field decode.
 ///
-/// Total: returns a typed [`WireError`] on any malformed input — truncated,
+/// Total: returns a typed [`ServeError`] on any malformed input — truncated,
 /// corrupt, lying about its dimensions, over-long — and never panics. The
 /// slice must contain exactly one frame (no trailing bytes).
 ///
 /// # Errors
 ///
-/// Any [`WireError`] variant, as produced by the stage that failed.
+/// A binary-frame variant of [`ServeError`] or [`ServeError::Data`], as
+/// produced by the stage that failed.
 pub fn decode_binary_frame(
     bytes: &[u8],
     max_payload_bytes: u64,
-) -> Result<(u64, ProbMap), WireError> {
+) -> Result<(u64, ProbMap), ServeError> {
     let header = BinaryFrameHeader::parse(bytes)?;
     let payload_len = header.checked_payload_len(max_payload_bytes)?;
     let body = &bytes[BINARY_HEADER_LEN..];
     if body.len() != payload_len {
-        return Err(WireError::Truncated {
+        return Err(ServeError::Truncated {
             needed: BINARY_HEADER_LEN + payload_len,
             found: bytes.len(),
         });
@@ -501,39 +384,39 @@ mod tests {
 
         let mut bad = good.clone();
         bad[0] = b'{';
-        assert_eq!(
+        assert!(matches!(
             BinaryFrameHeader::parse(&bad),
-            Err(WireError::BadMagic(b'{'))
-        );
+            Err(ServeError::BadMagic(b'{'))
+        ));
 
         let mut bad = good.clone();
         bad[1] = 9;
-        assert_eq!(
+        assert!(matches!(
             BinaryFrameHeader::parse(&bad),
-            Err(WireError::UnsupportedVersion(9))
-        );
+            Err(ServeError::UnsupportedVersion(9))
+        ));
 
         let mut bad = good.clone();
         bad[2] = 77;
-        assert_eq!(
+        assert!(matches!(
             BinaryFrameHeader::parse(&bad),
-            Err(WireError::UnknownEncoding(77))
-        );
+            Err(ServeError::UnknownEncoding(77))
+        ));
 
         let mut bad = good.clone();
         bad[3] = 1;
-        assert_eq!(
+        assert!(matches!(
             BinaryFrameHeader::parse(&bad),
-            Err(WireError::NonZeroReserved(1))
-        );
+            Err(ServeError::NonZeroReserved(1))
+        ));
 
-        assert_eq!(
+        assert!(matches!(
             BinaryFrameHeader::parse(&good[..10]),
-            Err(WireError::Truncated {
+            Err(ServeError::Truncated {
                 needed: BINARY_HEADER_LEN,
                 found: 10
             })
-        );
+        ));
     }
 
     #[test]
@@ -546,7 +429,7 @@ mod tests {
         bad[12..16].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             decode_binary_frame(&bad, 1 << 20),
-            Err(WireError::ZeroDimension { .. })
+            Err(ServeError::ZeroDimension { .. })
         ));
 
         // Inflated width with the original payload length: mismatch.
@@ -554,7 +437,7 @@ mod tests {
         bad[12..16].copy_from_slice(&1000u32.to_le_bytes());
         assert!(matches!(
             decode_binary_frame(&bad, 1 << 20),
-            Err(WireError::LengthMismatch { .. })
+            Err(ServeError::LengthMismatch { .. })
         ));
 
         // A consistent header whose payload would be enormous: the size cap
@@ -570,7 +453,7 @@ mod tests {
         };
         assert!(matches!(
             decode_binary_frame(&huge.to_bytes(), 1 << 20),
-            Err(WireError::PayloadTooLarge { .. })
+            Err(ServeError::PayloadTooLarge { .. })
         ));
     }
 
@@ -582,7 +465,7 @@ mod tests {
         bytes[last] ^= 0x01;
         assert!(matches!(
             decode_binary_frame(&bytes, 1 << 20),
-            Err(WireError::ChecksumMismatch { .. })
+            Err(ServeError::ChecksumMismatch { .. })
         ));
     }
 
@@ -591,13 +474,10 @@ mod tests {
         let map = ProbMap::uniform(2, 2, 3);
         let bytes = encode_binary_frame(1, &map, ProbEncoding::U16);
         let cut = bytes.len() - 5;
-        assert_eq!(
+        assert!(matches!(
             decode_binary_frame(&bytes[..cut], 1 << 20),
-            Err(WireError::Truncated {
-                needed: bytes.len(),
-                found: cut
-            })
-        );
+            Err(ServeError::Truncated { needed, found }) if needed == bytes.len() && found == cut
+        ));
     }
 
     proptest! {
@@ -655,7 +535,7 @@ mod tests {
             let cut = (cut % bytes.len() as u64) as usize;
             prop_assert!(matches!(
                 decode_binary_frame(&bytes[..cut], u64::MAX),
-                Err(WireError::Truncated { .. })
+                Err(ServeError::Truncated { .. })
             ));
         }
 

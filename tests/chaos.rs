@@ -8,15 +8,15 @@ use metaseg_suite::metaseg::stream::{FrameVerdicts, MetaSegStream, StreamConfig}
 use metaseg_suite::metaseg_data::{ProbEncoding, ProbMap};
 use metaseg_suite::metaseg_learners::MetaPredictor;
 use metaseg_suite::metaseg_serve::{
-    ClientConfig, ClientError, ErrorCode, FrameFormat, ModelRegistry, Request, Response,
-    ServeClient, Server, ServerConfig, ServerHandle, Submission,
+    ClientConfig, ErrorCode, FrameFormat, ModelRegistry, Request, Response, ServeClient,
+    ServeError, Server, ServerConfig, ServerHandle, Submission,
 };
 use metaseg_suite::metaseg_sim::{
     ChaosProxy, DecodedFrameSource, FaultPlan, NetworkProfile, NetworkSim, VideoConfig, VideoStream,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -536,7 +536,7 @@ fn a_wedged_server_surfaces_as_a_typed_timeout_not_a_hang() {
     let started = Instant::now();
     let err = client.ping().unwrap_err();
     assert!(
-        matches!(err, ClientError::TimedOut(_)),
+        matches!(err, ServeError::TimedOut(_)),
         "expected the typed timeout, got {err:?}"
     );
     assert!(err.is_retryable());
@@ -545,4 +545,94 @@ fn a_wedged_server_surfaces_as_a_typed_timeout_not_a_hang() {
         "the deadline must fire long before the wedge clears"
     );
     wedge.join().unwrap();
+}
+
+/// A scripted server: accepts one connection per entry of `script` in turn
+/// and answers each request line it reads with the next reply of that
+/// entry; a `None` reply drops the connection on that request. Returns the
+/// address and a handle yielding every request it read.
+fn scripted_server(
+    script: Vec<Vec<Option<&'static str>>>,
+) -> (SocketAddr, thread::JoinHandle<Vec<Request>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let mut requests = Vec::new();
+        for replies in script {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            for reply in replies {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                requests.push(Request::decode(line.trim_end()).unwrap());
+                match reply {
+                    Some(reply) => writeln!(conn, "{reply}").unwrap(),
+                    None => break,
+                }
+            }
+        }
+        requests
+    });
+    (addr, server)
+}
+
+#[test]
+fn an_undecodable_reply_is_one_protocol_error_with_one_prefix() {
+    let (addr, server) = scripted_server(vec![vec![Some("not json")]]);
+    let err = ServeClient::connect(addr).unwrap().ping().unwrap_err();
+    assert!(matches!(err, ServeError::Protocol(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "protocol error: json error: at byte 0: unexpected character `n`"
+    );
+    assert!(err.is_retryable());
+    assert_eq!(server.join().unwrap(), vec![Request::Ping]);
+}
+
+#[test]
+fn a_resume_answered_bad_request_reconnects_and_the_frame_is_served() {
+    // Connection 1 drops on the frame; connection 2 answers the resume with
+    // `bad-request` (a resume line corrupted on the wire); connection 3
+    // resumes at frame 0 and serves it. `bad-request` reconnects in every
+    // retry loop, the resume loop included.
+    let (addr, server) = scripted_server(vec![
+        vec![
+            Some(r#"{"ok":"opened","session":1,"series_length":2}"#),
+            None,
+        ],
+        vec![Some(
+            r#"{"err":"bad-request","message":"unknown op `rsume`"}"#,
+        )],
+        vec![
+            Some(r#"{"ok":"resumed","session":1,"frames":0}"#),
+            Some(r#"{"ok":"verdicts","session":1,"frame":0,"verdicts":[]}"#),
+        ],
+    ]);
+    let probs = ProbMap::uniform(2, 1, 3);
+    let mut client = ServeClient::connect(addr).unwrap();
+    let (session, _) = client.open("default", "cam").unwrap();
+    let submission = client.submit_with_retry(session, &probs).unwrap();
+    assert_eq!(
+        submission,
+        Submission::Served {
+            frame: 0,
+            verdicts: Vec::new()
+        }
+    );
+    assert_eq!(client.reconnects(), 2);
+    let frame = Request::Frame { session, probs };
+    let resume = Request::Resume { session };
+    assert_eq!(
+        server.join().unwrap(),
+        vec![
+            Request::Open {
+                model: "default".into(),
+                camera: "cam".into()
+            },
+            frame.clone(),
+            resume.clone(),
+            resume,
+            frame,
+        ]
+    );
 }
