@@ -21,6 +21,10 @@
 //! * `fused_f32_tiled` — the same payload path with the f32 dispersion scan
 //!   over channel-major tiles.
 //!
+//! Next to extraction, each scene reports `tracking`:
+//! [`IncrementalTracker::observe_segments`] over the components of the same
+//! frames' predicted label maps, with the live-track count it ends on.
+//!
 //! Writes `BENCH_extraction.json` at the repository root and prints a
 //! speedup line for CI. `--require-speedup X` exits non-zero unless the
 //! fused payload fast path (f32 tiled scan) sustains at least `X`× the
@@ -49,6 +53,7 @@ use metaseg::{
 };
 use metaseg_data::{Frame, FrameId, ProbEncoding, ProbPayload};
 use metaseg_sim::{NetworkProfile, NetworkSim, Scene, SceneConfig};
+use metaseg_tracking::{IncrementalTracker, TrackerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -208,6 +213,7 @@ struct SceneReport {
     fused_f64: VariantReport,
     /// Zero-copy u16-payload ingest, f32 scan over channel-major tiles.
     fused_f32_tiled: VariantReport,
+    tracking: TrackingReport,
     speedup_serial_vs_legacy: f64,
     speedup_banded_vs_legacy: f64,
     /// The CI-gated ratio: fused payload fast path (f32 tiled scan, decode
@@ -216,6 +222,20 @@ struct SceneReport {
     /// measured by [`interleaved_speedup`] so machine-speed drift between
     /// the sequential per-variant loops cannot skew the gate.
     speedup_fused_vs_serial: f64,
+}
+
+/// Tracking cost next to extraction: [`IncrementalTracker::observe_segments`]
+/// over the components of the scene's frames, one frame per call.
+#[derive(Debug, Clone, Serialize)]
+struct TrackingReport {
+    frames_per_s: f64,
+    mean_frame_ms: f64,
+    allocs_per_frame: f64,
+    bytes_per_frame: f64,
+    peak_frame_bytes: u64,
+    /// Tracks alive after the measured loop: the working set whose pixels
+    /// each frame's matching walks.
+    live_tracks: usize,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -244,9 +264,9 @@ fn make_frames(config: &SceneConfig, count: usize, seed: u64) -> Vec<Frame> {
 
 /// Measures one extraction variant over `measured` steady-state frames
 /// (after one warmup lap over the distinct frames).
-fn measure<F>(distinct: usize, measured: usize, mut extract: F) -> (f64, f64, f64, f64, u64)
+fn measure<F, R>(distinct: usize, measured: usize, mut extract: F) -> (f64, f64, f64, f64, u64)
 where
-    F: FnMut(usize) -> Vec<SegmentRecord>,
+    F: FnMut(usize) -> R,
 {
     for i in 0..distinct {
         black_box(extract(i));
@@ -392,6 +412,31 @@ fn measure_payload(
     )
 }
 
+/// Measures [`IncrementalTracker::observe_segments`] with the default tracker
+/// configuration over the components of `frames`' predicted label maps,
+/// labelled once up front as the streaming engine shares one labelling with
+/// extraction.
+fn measure_tracking(frames: &[Frame], measured: usize) -> TrackingReport {
+    let config = TrackerConfig::default();
+    let components: Vec<_> = frames
+        .iter()
+        .map(|frame| frame.predicted_labels().segments(config.connectivity))
+        .collect();
+    let mut tracker = IncrementalTracker::new(config);
+    let (frames_per_s, mean_frame_ms, allocs_per_frame, bytes_per_frame, peak_frame_bytes) =
+        measure(components.len(), measured, |i| {
+            tracker.observe_segments(&components[i])
+        });
+    TrackingReport {
+        frames_per_s,
+        mean_frame_ms,
+        allocs_per_frame,
+        bytes_per_frame,
+        peak_frame_bytes,
+        live_tracks: tracker.active_track_count(),
+    }
+}
+
 /// Measures the CI-gated ratio by *block-interleaving* the two variants:
 /// one lap of serial f64 extractions over the distinct frames (pre-decoded,
 /// ground truth attached), then one lap of fused payload extractions (wire
@@ -503,6 +548,7 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         DispersionPrecision::F32,
         auto_bands,
     );
+    let tracking = measure_tracking(&frames, measured);
 
     let report = SceneReport {
         width: scene.width,
@@ -518,11 +564,13 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         banded,
         fused_f64,
         fused_f32_tiled,
+        tracking,
     };
     println!(
         "{name} ({}x{}): legacy {:.1} frames/s, serial {:.1} ({:.0} allocs/frame), \
          banded x{} {:.1} ({:.0} allocs/frame), fused-f64 {:.1}, \
-         fused-f32-tiled {:.1} — fused/serial {:.2}x",
+         fused-f32-tiled {:.1} — fused/serial {:.2}x; tracking {:.2} ms/frame \
+         ({} live tracks)",
         report.width,
         report.height,
         report.legacy.frames_per_s,
@@ -534,6 +582,8 @@ fn profile_scene(name: &str, scene: &SceneConfig, options: &Options) -> SceneRep
         report.fused_f64.frames_per_s,
         report.fused_f32_tiled.frames_per_s,
         report.speedup_fused_vs_serial,
+        report.tracking.mean_frame_ms,
+        report.tracking.live_tracks,
     );
     report
 }

@@ -502,9 +502,11 @@ impl Loadtest {
 }
 
 /// Connects, negotiates `wire` and opens one session per camera, starting
-/// over on a fresh connection after any failure: a fault plan can kill the
-/// connection before its sessions exist. Sessions opened on an earlier
-/// connection are resumed by the client when they are next used.
+/// over on a fresh connection after a failure the client calls retryable: a
+/// fault plan can kill the connection before its sessions exist. A final
+/// error (`unknown-model`, `shutting-down`, `internal`) returns at once.
+/// Sessions opened on an earlier connection are resumed by the client when
+/// they are next used.
 fn open_sessions(
     addr: SocketAddr,
     config: ClientConfig,
@@ -533,6 +535,7 @@ fn open_sessions(
         })();
         match outcome {
             Ok(()) => return Ok((client.expect("connected"), sessions)),
+            Err(e) if !e.is_retryable() => return Err(e),
             Err(e) => {
                 last = Some(e);
                 thread::sleep(Duration::from_millis(20 * (attempt as u64 + 1)));
@@ -703,5 +706,43 @@ fn main() {
             gate(&read_report(&path), &path.display().to_string());
         }
         None => gate(&report, "in-memory report"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metaseg_serve::ErrorCode;
+
+    #[test]
+    fn open_sessions_returns_a_final_error_without_reconnecting() {
+        let server = Server::spawn(
+            "127.0.0.1:0",
+            Arc::new(ModelRegistry::new()),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("a loopback server spawns");
+        let error = open_sessions(
+            server.local_addr(),
+            ClientConfig::default(),
+            FrameFormat::Json,
+            &[0],
+        )
+        .expect_err("the registry holds no model");
+        assert!(
+            matches!(
+                error,
+                ServeError::Server {
+                    code: ErrorCode::UnknownModel,
+                    ..
+                }
+            ),
+            "{error}"
+        );
+        assert_eq!(server.stats().connections, 1);
+        server.shutdown();
     }
 }

@@ -10,6 +10,10 @@
 //! track's centroid history. Matched segments share a persistent track id, so
 //! per-segment metrics can be strung together into time series.
 //!
+//! Matching a frame costs O(live-track pixels + frame pixels): every live
+//! track's shifted pixels are counted once into the regions of the label grid
+//! under them.
+//!
 //! ```
 //! use metaseg_data::{LabelMap, SemanticClass};
 //! use metaseg_tracking::{SegmentTracker, TrackerConfig};

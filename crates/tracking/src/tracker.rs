@@ -1,7 +1,7 @@
 //! Overlap-based segment tracking with expected-location shifting.
 
 use metaseg_data::{LabelMap, SemanticClass};
-use metaseg_imgproc::{ComponentLabels, Connectivity, PixelSet};
+use metaseg_imgproc::{ComponentLabels, Connectivity};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -109,8 +109,8 @@ struct TrackState {
     /// Persistent track id (assigned once, never reused).
     id: usize,
     class: SemanticClass,
-    /// Pixels of the most recent observation.
-    pixels: PixelSet,
+    /// Pixels of the most recent observation, in row-major order.
+    pixels: Vec<(usize, usize)>,
     /// Centroid of the most recent observation.
     centroid: (f64, f64),
     /// Estimated velocity in pixels per frame.
@@ -133,6 +133,13 @@ struct TrackState {
 /// Feeding the frames of a clip through `observe` in order produces exactly
 /// the same assignments as the batch [`SegmentTracker::track`] call (which is
 /// implemented as precisely that loop).
+///
+/// Matching one frame costs O(live-track pixels + frame pixels): each live
+/// track's pixels are shifted to its expected location once and counted
+/// into the region the label grid holds under them, so a region weighs only
+/// the same-class tracks that overlap it. At `min_overlap == 0` a region
+/// that no unclaimed track overlaps also scans the live tracks for the
+/// earliest unclaimed one of its class.
 #[derive(Debug, Clone)]
 pub struct IncrementalTracker {
     config: TrackerConfig,
@@ -215,74 +222,107 @@ impl IncrementalTracker {
         });
         let mut claimed: Vec<bool> = vec![false; self.active.len()];
 
+        // The class of every matchable region; `None` for regions that never
+        // join a track (unevaluated classes, segments below the size floor).
+        let region_class: Vec<Option<SemanticClass>> = components
+            .regions()
+            .iter()
+            .map(|region| {
+                let class = SemanticClass::from_id(region.class_id).expect("valid class id");
+                (class.is_evaluated() && region.area() >= self.config.min_segment_area)
+                    .then_some(class)
+            })
+            .collect();
         // Bucket the pixels of every matchable region in one row-major walk
         // of the label grid — O(pixels) total, where per-region
         // `pixels_of` bounding-box scans would cost O(Σ bbox areas).
-        let matchable: Vec<bool> = components
+        let mut region_pixels: Vec<Vec<(usize, usize)>> = components
             .regions()
             .iter()
-            .map(|region| {
-                SemanticClass::from_id(region.class_id)
-                    .map(|class| class.is_evaluated())
-                    .unwrap_or(false)
-                    && region.area() >= self.config.min_segment_area
+            .map(|region| match region_class[region.id] {
+                Some(_) => Vec::with_capacity(region.area()),
+                None => Vec::new(),
             })
             .collect();
-        let mut pixel_sets: Vec<PixelSet> = components
-            .regions()
-            .iter()
-            .map(|region| {
-                if matchable[region.id] {
-                    PixelSet::with_capacity(region.area())
-                } else {
-                    PixelSet::new()
-                }
-            })
-            .collect();
-        for ((x, y), &id) in components.labels().iter_pixels() {
-            if matchable[id] {
-                pixel_sets[id].insert((x, y));
+        let labels = components.labels();
+        for ((x, y), &id) in labels.iter_pixels() {
+            if region_class[id].is_some() {
+                region_pixels[id].push((x, y));
             }
         }
 
+        // One walk over each live track's pixels, shifted to the expected
+        // location and rounded one by one: half-away-from-zero rounding is
+        // not translation-invariant, so a single integer offset would land
+        // some pixels elsewhere. `shifted_len[t]` is the size of track `t`'s
+        // shifted pixel set: rounding under a constant shift is injective,
+        // so every non-negative pixel counts, off-grid ones included.
+        // `overlaps[r]` lists `(track, intersection)` for each same-class
+        // track that covers region `r`, in creation order.
+        let mut shifted_len: Vec<usize> = Vec::with_capacity(self.active.len());
+        let mut overlaps: Vec<Vec<(usize, usize)>> = vec![Vec::new(); region_class.len()];
+        for (track_idx, track) in self.active.iter().enumerate() {
+            let gap = (frame_idx - track.last_frame) as f64;
+            let shift_x = track.velocity.0 * gap;
+            let shift_y = track.velocity.1 * gap;
+            let mut len = 0;
+            for &(x, y) in &track.pixels {
+                let nx = x as f64 + shift_x;
+                let ny = y as f64 + shift_y;
+                if nx < 0.0 || ny < 0.0 {
+                    continue;
+                }
+                len += 1;
+                let (nx, ny) = (nx.round() as usize, ny.round() as usize);
+                if nx >= labels.width() || ny >= labels.height() {
+                    continue;
+                }
+                let region_id = *labels.get(nx, ny);
+                if region_class[region_id] != Some(track.class) {
+                    continue;
+                }
+                let list = &mut overlaps[region_id];
+                match list.last_mut() {
+                    Some((last, inter)) if *last == track_idx => *inter += 1,
+                    _ => list.push((track_idx, 1)),
+                }
+            }
+            shifted_len.push(len);
+        }
+
         for region_id in region_order {
+            let Some(class) = region_class[region_id] else {
+                continue;
+            };
             let region = components
                 .region(region_id)
                 .expect("region id comes from the same labelling");
-            let class = SemanticClass::from_id(region.class_id).expect("valid class id");
-            if !class.is_evaluated() || region.area() < self.config.min_segment_area {
-                continue;
-            }
-            let pixels: PixelSet = std::mem::take(&mut pixel_sets[region_id]);
             let centroid = region.centroid();
 
             // Find the best matching existing track of the same class.
+            // `overlap` is the IoU `metaseg_imgproc::iou` gives the shifted
+            // track's and the region's pixel sets, from the same integers;
+            // the strict `>` keeps the earliest-created track on ties.
             let mut best: Option<(usize, f64)> = None;
-            for (track_idx, track) in self.active.iter().enumerate() {
-                if claimed[track_idx] || track.class != class {
+            for &(track_idx, inter) in &overlaps[region_id] {
+                if claimed[track_idx] {
                     continue;
                 }
-                let gap = (frame_idx - track.last_frame) as f64;
-                let shift_x = track.velocity.0 * gap;
-                let shift_y = track.velocity.1 * gap;
-                let shifted: PixelSet = track
-                    .pixels
-                    .iter()
-                    .filter_map(|&(x, y)| {
-                        let nx = x as f64 + shift_x;
-                        let ny = y as f64 + shift_y;
-                        if nx < 0.0 || ny < 0.0 {
-                            None
-                        } else {
-                            Some((nx.round() as usize, ny.round() as usize))
-                        }
-                    })
-                    .collect();
-                let overlap = metaseg_imgproc::iou(&shifted, &pixels);
+                let inter = inter as f64;
+                let overlap = inter / ((shifted_len[track_idx] + region.area()) as f64 - inter);
                 if overlap >= self.config.min_overlap && best.is_none_or(|(_, b)| overlap > b) {
                     best = Some((track_idx, overlap));
                 }
             }
+            // At `min_overlap == 0` a track without overlap qualifies too:
+            // with no overlapping track left, the earliest unclaimed track of
+            // the class scores the best IoU, zero.
+            if best.is_none() && self.config.min_overlap == 0.0 {
+                best = (0..self.active.len())
+                    .find(|&i| !claimed[i] && self.active[i].class == class)
+                    .map(|i| (i, 0.0));
+            }
+            let pixels = std::mem::take(&mut region_pixels[region_id]);
 
             let track_id = match best {
                 Some((track_idx, _)) => {
@@ -378,6 +418,7 @@ impl SegmentTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaseg_imgproc::PixelSet;
     use proptest::prelude::*;
 
     /// A map with one moving car rectangle and one static human ellipse-ish blob.
@@ -618,6 +659,54 @@ mod tests {
             result.push(frame_tracks);
         }
         (result, tracks.len())
+    }
+
+    /// The oracle at serve scale: the Bayes label maps of rendered 192x96
+    /// cityscapes-like clips put hundreds of tracks in the working set, each
+    /// of up to thousands of pixels, so one region meets far longer lists of
+    /// overlapping tracks than the 16x12 property clips ever build.
+    #[test]
+    fn incremental_matches_reference_oracle_on_rendered_clips() {
+        use metaseg_sim::{NetworkProfile, NetworkSim, SceneConfig, VideoConfig, VideoScenario};
+        use rand::{rngs::StdRng, SeedableRng};
+        let video = VideoConfig {
+            sequence_count: 2,
+            frames_per_sequence: 6,
+            label_stride: 3,
+            scene: SceneConfig::cityscapes_like(),
+        };
+        let sim = NetworkSim::new(NetworkProfile::weak());
+        let scenario = VideoScenario::generate(&video, &sim, &mut StdRng::seed_from_u64(61));
+        for sequence in &scenario.dataset().sequences {
+            let maps: Vec<LabelMap> = sequence
+                .frames
+                .iter()
+                .map(|f| f.predicted_labels())
+                .collect();
+            for min_overlap in [TrackerConfig::default().min_overlap, 0.0] {
+                let config = TrackerConfig {
+                    min_overlap,
+                    ..TrackerConfig::default()
+                };
+                let (oracle_frames, oracle_count) = reference_batch_track(&config, &maps);
+                let mut session = IncrementalTracker::new(config);
+                let (mut peak_live, mut peak_pixels) = (0, 0);
+                for (map, oracle) in maps.iter().zip(&oracle_frames) {
+                    assert_eq!(&session.observe(map), oracle);
+                    peak_live = peak_live.max(session.active_track_count());
+                    peak_pixels = session
+                        .active
+                        .iter()
+                        .fold(peak_pixels, |peak, track| peak.max(track.pixels.len()));
+                }
+                assert_eq!(session.track_count(), oracle_count);
+                assert!(
+                    peak_live > 200 && peak_pixels > 1000,
+                    "the clips must reach serve scale: {peak_live} live tracks, \
+                     largest track {peak_pixels} px"
+                );
+            }
+        }
     }
 
     #[test]
