@@ -14,10 +14,12 @@
 //!   sockets (epoll via the vendored poller), plus **sharded** worker
 //!   threads — sessions are keyed onto shards by `session_id % workers`, so
 //!   per-session frame order is preserved by construction while distinct
-//!   sessions run in parallel. Each shard drains **micro-batches** (up to
-//!   `batch_max` queued jobs at a time) from its own bounded queue and
-//!   rejects overload with a typed `backpressure` error instead of blocking
-//!   or buffering unboundedly,
+//!   sessions run in parallel. The event loop frames each request; a JSON
+//!   frame line as [`Request::encode_frame`] writes it is decoded on its
+//!   session's shard worker, so JSON decoding runs in parallel too. Each
+//!   shard drains **micro-batches** (up to `batch_max` queued jobs at a
+//!   time) from its own bounded queue and rejects overload with a typed
+//!   `backpressure` error instead of blocking or buffering unboundedly,
 //! * [`Request`] / [`Response`] — the JSON-lines wire protocol,
 //! * [`wire`] — the negotiated length-prefixed **binary frame fast path**
 //!   for submissions (raw little-endian `f64`/`f32`/quantized-`u16` softmax
@@ -182,6 +184,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::*;
     use crate::testutil::fitted_model;
+    use metaseg_data::{ProbMap, SemanticClass};
     use metaseg_sim::{NetworkProfile, NetworkSim, VideoConfig, VideoStream};
     use rand::{rngs::StdRng, SeedableRng};
     use std::sync::Arc;
@@ -298,8 +301,9 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
 
-        let mut roundtrip = |line: &str| -> Response {
-            writeln!(writer, "{line}").unwrap();
+        let mut roundtrip = |line: &[u8]| -> Response {
+            writer.write_all(line).unwrap();
+            writer.write_all(b"\n").unwrap();
             writer.flush().unwrap();
             let mut reply = String::new();
             reader.read_line(&mut reply).unwrap();
@@ -308,7 +312,7 @@ mod tests {
 
         // A raw garbage line gets a typed bad-request error…
         assert!(matches!(
-            roundtrip("this is not json"),
+            roundtrip(b"this is not json"),
             Response::Error {
                 code: ErrorCode::BadRequest,
                 ..
@@ -317,11 +321,12 @@ mod tests {
         // …an unknown model a typed unknown-model error…
         assert!(matches!(
             roundtrip(
-                &Request::Open {
+                Request::Open {
                     model: "missing".into(),
                     camera: "cam".into()
                 }
                 .encode()
+                .as_bytes()
             ),
             Response::Error {
                 code: ErrorCode::UnknownModel,
@@ -330,30 +335,178 @@ mod tests {
         ));
         // …a frame for a never-opened session a typed unknown-session error…
         assert!(matches!(
-            roundtrip(&Request::Stats { session: 99 }.encode()),
+            roundtrip(Request::Stats { session: 99 }.encode().as_bytes()),
             Response::Error {
                 code: ErrorCode::UnknownSession,
                 ..
             }
         ));
         // …and the same connection still serves real requests afterwards.
-        assert!(matches!(
-            roundtrip(
-                &Request::Open {
-                    model: "default".into(),
-                    camera: "cam".into()
-                }
-                .encode()
-            ),
-            Response::Opened { .. }
-        ));
+        let open = Request::Open {
+            model: "default".into(),
+            camera: "cam".into(),
+        }
+        .encode();
+        let Response::Opened { session, .. } = roundtrip(open.as_bytes()) else {
+            panic!("open must succeed");
+        };
+
+        // Frame lines spelled exactly as `Request::encode_frame` writes them
+        // are answered as any other frame line is. A body that does not
+        // decode gets `bad-request` with the decoder's message, on a session
+        // this connection owns and on one another connection owns: the
+        // decode error wins over `unknown-session`.
+        let bad_request_message = |reply: Response| match reply {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => message,
+            other => panic!("unexpected response {other:?}"),
+        };
+        let mut other = ServeClient::connect(handle.local_addr()).unwrap();
+        let (foreign, _) = other.open("default", "cam-other").unwrap();
+        for session in [session, foreign] {
+            let malformed = format!(r#"{{"op":"frame","session":{session},"probs":{{"width":2"#);
+            assert_eq!(
+                bad_request_message(roundtrip(malformed.as_bytes())),
+                Request::decode(&malformed).unwrap_err().to_string()
+            );
+        }
+        // Invalid UTF-8 after the prefix is rejected as on any other line.
+        let mut invalid = format!(r#"{{"op":"frame","session":{session},"probs":""#).into_bytes();
+        invalid.extend_from_slice(b"\xFF\"}");
+        let message = bad_request_message(roundtrip(&invalid));
+        assert!(message.contains("UTF-8"), "unexpected: {message}");
+        // A frame wider than the class catalogue never reaches extraction.
+        let wide = ProbMap::uniform(2, 1, SemanticClass::ALL.len() + 1);
+        let message =
+            bad_request_message(roundtrip(Request::encode_frame(session, &wide).as_bytes()));
+        assert!(
+            message.contains("softmax channels"),
+            "unexpected: {message}"
+        );
+
+        // A frame with its keys in another order is served as the canonical
+        // line is: the same verdicts from two fresh sessions.
+        let mut rng = StdRng::seed_from_u64(903);
+        let sim = NetworkSim::new(NetworkProfile::weak());
+        let probs = VideoStream::open(&VideoConfig::small(), sim, 0, &mut rng)
+            .next()
+            .expect("the stream yields a frame")
+            .prediction;
+        let mut served = Vec::new();
+        for reorder in [false, true] {
+            let Response::Opened { session, .. } = roundtrip(open.as_bytes()) else {
+                panic!("open must succeed");
+            };
+            let canonical = Request::encode_frame(session, &probs);
+            let line = if reorder {
+                let prefix = format!(r#"{{"op":"frame","session":{session},"#);
+                let probs_entry = canonical
+                    .strip_prefix(&prefix)
+                    .and_then(|rest| rest.strip_suffix('}'))
+                    .expect("the canonical spelling");
+                format!(r#"{{"session":{session},{probs_entry},"op":"frame"}}"#)
+            } else {
+                canonical
+            };
+            let Response::Verdicts {
+                frame, verdicts, ..
+            } = roundtrip(line.as_bytes())
+            else {
+                panic!("a valid frame is served");
+            };
+            served.push((frame, verdicts));
+        }
+        assert!(!served[0].1.is_empty(), "the frame has segments to judge");
+        assert_eq!(served[0], served[1]);
         handle.shutdown();
+    }
+
+    /// A frame line that meets a full shard queue is answered as it always
+    /// was: a malformed one with `bad-request`, which never counts as
+    /// rejected, and a valid one with `backpressure`, counted once.
+    #[test]
+    fn frame_lines_at_a_full_queue_get_bad_request_or_backpressure() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::TcpStream;
+        use std::thread;
+        use std::time::Duration;
+
+        let registry = registry_with_default(2);
+        let handle = Server::spawn(
+            "127.0.0.1:0",
+            registry,
+            ServerConfig {
+                workers: 1,
+                queue_depth: 1,
+                synthetic_delay_ms: 400,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut send = |line: &str| {
+            writeln!(writer, "{line}").unwrap();
+            writer.flush().unwrap();
+        };
+        let mut read_reply = || {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Response::decode(reply.trim_end()).unwrap()
+        };
+
+        send(
+            &Request::Open {
+                model: "default".into(),
+                camera: "cam".into(),
+            }
+            .encode(),
+        );
+        let Response::Opened { session, .. } = read_reply() else {
+            panic!("open must succeed");
+        };
+        let frame = Request::encode_frame(session, &ProbMap::uniform(6, 4, 3));
+        // The worker takes the first frame and sleeps on it; the second
+        // fills the one queue slot.
+        send(&frame);
+        thread::sleep(Duration::from_millis(150));
+        send(&frame);
+        thread::sleep(Duration::from_millis(150));
+        // Both of these meet the full queue.
+        send(&format!(
+            r#"{{"op":"frame","session":{session},"probs":[}}"#
+        ));
+        send(&frame);
+        assert!(matches!(read_reply(), Response::Verdicts { frame: 0, .. }));
+        assert!(matches!(read_reply(), Response::Verdicts { frame: 1, .. }));
+        assert!(matches!(
+            read_reply(),
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ));
+        assert!(matches!(
+            read_reply(),
+            Response::Error {
+                code: ErrorCode::Backpressure,
+                ..
+            }
+        ));
+
+        let stats = handle.shutdown();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.frames_processed, 2);
+        assert_eq!(stats.peak_queue_depth, 1);
     }
 
     #[test]
     fn binary_frames_require_negotiation_and_malformed_ones_keep_the_connection() {
         use crate::wire::encode_binary_frame;
-        use metaseg_data::{ProbEncoding, ProbMap};
+        use metaseg_data::ProbEncoding;
         use std::io::{BufRead, BufReader, Write};
         use std::net::TcpStream;
 
@@ -492,8 +645,8 @@ mod tests {
             reply.trim_end().to_string()
         };
 
-        // JSON frames arrive decoded and always scan at f64, so a JSON
-        // negotiation confirms f64 (the default, absent from the line)…
+        // JSON frames decode to an f64 field and always scan at f64, so a
+        // JSON negotiation confirms f64 (the default, absent from the line)…
         assert_eq!(
             roundtrip(r#"{"op":"negotiate","frames":"json","dispersion":"f32"}"#),
             r#"{"ok":"negotiated","frames":"json"}"#

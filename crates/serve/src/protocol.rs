@@ -588,9 +588,15 @@ mod tests {
     #[test]
     fn borrowed_frame_encoder_matches_the_owned_one() {
         let probs = tiny_probs();
+        let line = Request::encode_frame(7, &probs);
+        assert_eq!(line, Request::Frame { session: 7, probs }.encode());
+        // The server decodes frame lines on the shard workers only when they
+        // start exactly like this; any other spelling is decoded on the
+        // event loop.
+        assert!(line.starts_with(r#"{"op":"frame","session":7,"#), "{line}");
         assert_eq!(
-            Request::encode_frame(7, &probs),
-            Request::Frame { session: 7, probs }.encode()
+            crate::transport::canonical_frame_session(line.as_bytes()),
+            Some(7)
         );
     }
 

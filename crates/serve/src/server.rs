@@ -4,22 +4,26 @@
 //!
 //! * **Event loop** — one transport thread owns the listener and every
 //!   client socket, nonblocking, multiplexed through the vendored poller
-//!   (epoll on Linux; see [`crate::transport`]). It accepts, parses — JSON
-//!   lines and negotiated binary frames, routed by the first byte — answers
-//!   inline operations, and turns frame / `stats` / `close` operations into
-//!   jobs on the owning session's shard. It never runs inference and never
-//!   blocks on a session lock, so accepting and parsing stay responsive
-//!   under thousands of connections, with no thread or `JoinHandle` per
-//!   connection to leak.
+//!   (epoll on Linux; see [`crate::transport`]). It accepts, frames JSON
+//!   lines and negotiated binary frames, routed by the first byte, answers
+//!   inline operations, and turns frame, `stats`, `resume` and `close`
+//!   operations into jobs on the owning session's shard. A JSON frame line
+//!   spelled as [`Request::encode_frame`](crate::Request::encode_frame)
+//!   writes it goes to the shard undecoded; the loop decodes every other
+//!   line and checksums every binary payload. It never runs inference and
+//!   never blocks on a session lock, so accepting and parsing stay
+//!   responsive under thousands of connections, with no thread or
+//!   `JoinHandle` per connection to leak.
 //! * **Shard workers** — `workers` threads, one per shard. Sessions are
 //!   keyed onto shards by `session_id % workers`, so one session's frames
 //!   are processed by one worker in arrival order — per-session frame order
 //!   is preserved by construction — while distinct sessions spread across
 //!   shards and run in parallel, each shard draining **micro-batches** of up
 //!   to `batch_max` queued jobs and pushing them through the session engines:
-//!   decoded JSON frames via `MetaSegStream::push_frame`, binary wire
-//!   payloads via `MetaSegStream::push_payload`, which dequantizes the
-//!   checksum-verified bytes straight into the engine's extraction scratch.
+//!   JSON frames via `MetaSegStream::push_frame`, after decoding the ones
+//!   that arrive as undecoded lines, and binary wire payloads via
+//!   `MetaSegStream::push_payload`, which dequantizes the checksum-verified
+//!   bytes straight into the engine's extraction scratch.
 //!   Each shard's queue is bounded: when a session's shard is full the
 //!   submission immediately answers `backpressure` instead of blocking or
 //!   buffering unboundedly — the overload signal a fleet balancer needs.
@@ -160,7 +164,10 @@ pub struct ServerStats {
 /// Every field mutates under the shard's queue lock, so the numbers are
 /// exact: in particular `peak_queue_depth` counts only frames that were
 /// actually admitted — a backpressure-rejected submission increments
-/// `rejected` and touches nothing else.
+/// `rejected` and touches nothing else. A JSON frame line admitted
+/// undecoded that then fails to decode on the worker was admitted all the
+/// same: it counts toward `peak_queue_depth`, `batches` and `peak_batch`,
+/// and not toward `frames_processed` or `rejected`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Index of this shard (`session_id % workers` keys sessions onto it).

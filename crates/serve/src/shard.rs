@@ -14,17 +14,22 @@
 //! `try_send`, so backpressure-rejected submissions inflated
 //! `peak_queue_depth`; that overcount is structurally impossible here.
 //!
-//! Control operations (`stats`, `close`) travel through the same shard queue
-//! as the session's frames — never counted against the frame depth, never
-//! rejected with backpressure — so a `stats` pipelined behind a frame always
-//! observes that frame, exactly as when connection threads blocked per
-//! request.
+//! Control operations (`stats`, `resume`, `close`) travel through the same
+//! shard queue as the session's frames — never counted against the frame
+//! depth, never rejected with backpressure — so a `stats` pipelined behind a
+//! frame always observes that frame, exactly as when connection threads
+//! blocked per request.
+//!
+//! The worker also decodes most JSON frames: the event loop hands over a
+//! frame line spelled the canonical way as raw bytes ([`JobPayload::Line`]),
+//! and the worker runs [`decode_line`] and [`check_probs`] on it, the same
+//! checks, in the same order, that the event loop runs on every other line.
 
-use crate::protocol::Response;
+use crate::protocol::{Request, Response};
 use crate::server::{bad_request, session_poisoned_error, ServerConfig, ShardStats};
-use metaseg::stream::MetaSegStream;
+use metaseg::stream::{FrameVerdicts, MetaSegStream};
 use metaseg::DispersionPrecision;
-use metaseg_data::{Frame, FrameId, ProbMap, ProbPayload};
+use metaseg_data::{Frame, FrameId, ProbMap, ProbPayload, SemanticClass};
 use mio::Waker;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -59,9 +64,15 @@ pub(crate) struct Completion {
 
 /// How a queued frame travels to the worker that will serve it.
 pub(crate) enum JobPayload {
-    /// A softmax field decoded at the event loop (the JSON path — the
-    /// document decoder produces an owned [`ProbMap`] anyway). Its
-    /// dispersion scan is the exact f64 one.
+    /// A JSON frame line as the socket delivered it, newline included,
+    /// spelled exactly as [`Request::encode_frame`] writes it. The worker
+    /// decodes it with [`decode_line`] and [`check_probs`]; a line that
+    /// fails them gets the `bad-request` the event loop would have sent.
+    /// Its dispersion scan is the exact f64 one.
+    Line(Vec<u8>),
+    /// A softmax field the event loop decoded from a JSON frame line it did
+    /// not hand over as a [`JobPayload::Line`]. Its dispersion scan is the
+    /// exact f64 one.
     Decoded(ProbMap),
     /// Checksum-verified wire bytes, untouched since the socket read, and
     /// the dispersion precision the connection negotiated. The worker
@@ -71,6 +82,47 @@ pub(crate) enum JobPayload {
         payload: ProbPayload,
         dispersion: DispersionPrecision,
     },
+}
+
+/// Decodes one JSON request line, on the event loop or on a shard worker:
+/// strict UTF-8 (lossy replacement would silently alter string fields, e.g.
+/// a camera name, inside an otherwise well-formed request), trailing
+/// whitespace trimmed, then [`Request::decode`]. The error is the
+/// `bad-request` reply.
+pub(crate) fn decode_line(line: &[u8]) -> Result<Request, Response> {
+    let text = std::str::from_utf8(line)
+        .map_err(|e| bad_request(format_args!("request line is not valid UTF-8: {e}")))?;
+    Request::decode(text.trim_end()).map_err(bad_request)
+}
+
+/// Checks a decoded softmax field at the trust boundary: an inconsistent
+/// shape, or more channels than the class catalogue, would panic deep
+/// inside metric extraction. (The binary path validates shape against byte
+/// count before its job is built, and the kernel rejects its channel count
+/// as a payload error.)
+pub(crate) fn check_probs(probs: &ProbMap) -> Result<(), Response> {
+    if !probs.shape_consistent() {
+        return Err(bad_request("frame payload has an inconsistent shape"));
+    }
+    if probs.num_classes() > SemanticClass::ALL.len() {
+        return Err(bad_request(format!(
+            "frame has {} softmax channels; the class catalogue has {}",
+            probs.num_classes(),
+            SemanticClass::ALL.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The softmax field of a [`JobPayload::Line`]. The event loop hands over
+/// only lines whose first `op` key is `frame`, so a line that decodes is a
+/// frame. Takes the line by value so it is freed before the engine runs.
+fn line_probs(line: Vec<u8>) -> Result<ProbMap, Response> {
+    let Request::Frame { probs, .. } = decode_line(&line)? else {
+        unreachable!("only lines whose first `op` is `frame` are handed over undecoded")
+    };
+    check_probs(&probs)?;
+    Ok(probs)
 }
 
 /// What a queued job asks of the session.
@@ -120,6 +172,16 @@ struct ShardQueue {
     stats: ShardStats,
 }
 
+impl ShardQueue {
+    /// Queues a frame job the caller found room for, and records the depth
+    /// it reached.
+    fn admit_frame(&mut self, job: Job) {
+        self.frames_queued += 1;
+        self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.frames_queued);
+        self.jobs.push_back(job);
+    }
+}
+
 /// One shard: a bounded FIFO of jobs for the sessions keyed onto it, drained
 /// by a single dedicated worker thread.
 pub(crate) struct Shard {
@@ -167,18 +229,33 @@ impl Shard {
                 queue.stats.rejected += 1;
                 return false;
             }
-            queue.frames_queued += 1;
-            queue.stats.peak_queue_depth = queue.stats.peak_queue_depth.max(queue.frames_queued);
-            queue.jobs.push_back(job);
+            queue.admit_frame(job);
         }
         self.available.notify_one();
         true
     }
 
-    /// Admits a control job (`stats` / `close`). Control operations answer
-    /// fast and must never be lost to backpressure, so they bypass the
-    /// bounded frame depth; they still travel the FIFO, which is what keeps
-    /// them ordered after the frames they were pipelined behind.
+    /// Admits a frame job when the shard is open and has room, and hands it
+    /// back otherwise. Unlike [`Shard::submit_frame`], a refusal counts
+    /// nothing, so the caller can still answer the job's request some other
+    /// way.
+    pub(crate) fn offer_frame(&self, job: Job) -> Result<(), Job> {
+        {
+            let mut queue = self.lock();
+            if queue.closed || queue.frames_queued >= self.queue_depth {
+                return Err(job);
+            }
+            queue.admit_frame(job);
+        }
+        self.available.notify_one();
+        Ok(())
+    }
+
+    /// Admits a control job (`stats`, `resume` or `close`). Control
+    /// operations answer fast and must never be lost to backpressure, so
+    /// they bypass the bounded frame depth; they still travel the FIFO,
+    /// which is what keeps them ordered after the frames they were
+    /// pipelined behind.
     pub(crate) fn submit_control(&self, job: Job) -> bool {
         {
             let mut queue = self.lock();
@@ -343,35 +420,33 @@ fn run_group(
     let mut results = Vec::with_capacity(jobs.len());
     for job in jobs {
         let response = match job.kind {
-            JobKind::Frame(JobPayload::Decoded(probs)) => {
-                let frame = Frame::unlabeled(
-                    FrameId::new(session_id as usize, guard.frames_seen()),
-                    probs,
-                );
-                let verdicts = guard.push_frame(&frame);
-                processed += 1;
-                Response::Verdicts {
-                    session: session_id,
-                    frame: verdicts.frame,
-                    verdicts: verdicts.verdicts,
+            JobKind::Frame(payload) => {
+                let pushed = match payload {
+                    JobPayload::Line(line) => {
+                        line_probs(line).map(|probs| push_probs(&mut guard, session_id, probs))
+                    }
+                    JobPayload::Decoded(probs) => Ok(push_probs(&mut guard, session_id, probs)),
+                    // The engine state is untouched on a codec error; the
+                    // session keeps serving subsequent frames.
+                    JobPayload::Encoded {
+                        payload,
+                        dispersion,
+                    } => guard
+                        .push_payload(&payload, dispersion)
+                        .map_err(bad_request),
+                };
+                match pushed {
+                    Ok(verdicts) => {
+                        processed += 1;
+                        Response::Verdicts {
+                            session: session_id,
+                            frame: verdicts.frame,
+                            verdicts: verdicts.verdicts,
+                        }
+                    }
+                    Err(response) => response,
                 }
             }
-            JobKind::Frame(JobPayload::Encoded {
-                payload,
-                dispersion,
-            }) => match guard.push_payload(&payload, dispersion) {
-                Ok(verdicts) => {
-                    processed += 1;
-                    Response::Verdicts {
-                        session: session_id,
-                        frame: verdicts.frame,
-                        verdicts: verdicts.verdicts,
-                    }
-                }
-                // The engine state is untouched on a codec error; the
-                // session keeps serving subsequent frames.
-                Err(e) => bad_request(e),
-            },
             JobKind::Stats => Response::Stats {
                 session: session_id,
                 stats: guard.session_stats(),
@@ -393,4 +468,14 @@ fn run_group(
         });
     }
     (results, processed)
+}
+
+/// Pushes a decoded softmax field through the session engine as the
+/// session's next frame.
+fn push_probs(engine: &mut MetaSegStream, session_id: u64, probs: ProbMap) -> FrameVerdicts {
+    let frame = Frame::unlabeled(
+        FrameId::new(session_id as usize, engine.frames_seen()),
+        probs,
+    );
+    engine.push_frame(&frame)
 }

@@ -15,23 +15,31 @@
 //! is skipped by its declared length, and only an unbounded declared payload
 //! (or an oversized newline-free line) forces a disconnect.
 //!
-//! Inference never runs on the event loop. Frame, `stats` and `close`
-//! operations become [`Job`]s on the session's shard queue; the shard worker
-//! posts a [`Completion`] back through a channel and wakes the poller. The
-//! loop keeps responses in request order with a per-connection sequence of
-//! response slots: every request allocates the next slot, inline operations
-//! fill theirs immediately, queued operations fill theirs on completion, and
-//! the write side only ever flushes the longest filled prefix.
+//! Inference never runs on the event loop, and JSON frames are mostly decoded
+//! off it. The loop frames each line; a frame line spelled exactly as
+//! [`Request::encode_frame`] writes it (see [`canonical_frame_session`]),
+//! for a session this connection owns, goes to the session's shard as the
+//! raw bytes it took from the input buffer ([`JobPayload::Line`]), and the
+//! shard worker decodes it with the same [`decode_line`] the loop runs on
+//! every other line. Binary payloads are still checksummed here: moving that
+//! check to the workers measured no gain on `hires` or `fleet`.
+//!
+//! Frame, `stats`, `resume` and `close` operations become [`Job`]s on the
+//! session's shard queue; the shard worker posts a [`Completion`] back
+//! through a channel and wakes the poller. The loop keeps responses in
+//! request order with a per-connection sequence of response slots: every
+//! request allocates the next slot, inline operations fill theirs
+//! immediately, queued operations fill theirs on completion, and the write
+//! side only ever flushes the longest filled prefix.
 
 use crate::protocol::{ErrorCode, FrameFormat, Request, Response};
 use crate::server::{
     bad_request, overloaded_error, shutting_down_error, unknown_session_error, ServerConfig, Shared,
 };
-use crate::shard::{Completion, ConnId, Job, JobKind, JobPayload, Shard};
+use crate::shard::{check_probs, decode_line, Completion, ConnId, Job, JobKind, JobPayload, Shard};
 use crate::wire::{self, BinaryFrameHeader, BINARY_FRAME_MAGIC, BINARY_HEADER_LEN};
 use metaseg::stream::MetaSegStream;
 use metaseg::DispersionPrecision;
-use metaseg_data::SemanticClass;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -58,6 +66,33 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 const DL_CONN: u8 = 0;
 /// Deadline-heap entry kind: an orphaned session's linger expiry.
 const DL_ORPHAN: u8 = 1;
+
+/// How [`Request::encode_frame`] starts every frame line.
+const FRAME_LINE_PREFIX: &[u8] = br#"{"op":"frame","session":"#;
+
+/// The session of a frame line spelled as [`Request::encode_frame`] writes
+/// it: [`FRAME_LINE_PREFIX`], then 1–15 ASCII digits without a leading zero,
+/// then a `,`. Nothing later in the line can change the op or the session,
+/// because the decoder's object lookup takes the first of duplicate keys,
+/// and up to 15 digits read exactly through the decoder's f64 numbers. So
+/// the line either fails to decode or decodes to a frame of this session.
+/// `None` for every other line.
+pub(crate) fn canonical_frame_session(line: &[u8]) -> Option<u64> {
+    let rest = line.strip_prefix(FRAME_LINE_PREFIX)?;
+    let digits = rest
+        .iter()
+        .take(16)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    let canonical = (1..=15).contains(&digits)
+        && rest.get(digits) == Some(&b',')
+        && (digits == 1 || rest[0] != b'0');
+    canonical.then(|| {
+        rest[..digits]
+            .iter()
+            .fold(0, |session, &digit| session * 10 + u64::from(digit - b'0'))
+    })
+}
 
 /// One lazily-invalidated deadline-heap entry: `(when, kind, a, b)` where
 /// `(a, b)` is `(token, generation)` for [`DL_CONN`] and `(session, 0)` for
@@ -624,7 +659,7 @@ impl Transport {
                         match conn.inbuf.find_newline() {
                             Some(position) => {
                                 let line = conn.inbuf.take(position + 1);
-                                self.handle_line(conn, &line);
+                                self.handle_line(conn, line);
                             }
                             None => {
                                 // The transport-level analogue of the JSON
@@ -746,30 +781,65 @@ impl Transport {
         }
     }
 
-    /// Handles one JSON request line (trailing newline included).
-    fn handle_line(&mut self, conn: &mut Conn, line: &[u8]) {
+    /// Handles one JSON request line (trailing newline included). A
+    /// canonical frame line goes to its shard undecoded when
+    /// [`Transport::offer_line`] takes it; every other line is decoded and
+    /// answered here.
+    fn handle_line(&mut self, conn: &mut Conn, line: Vec<u8>) {
         let seq = conn.alloc_slot();
-        // Strict UTF-8 at the trust boundary: lossy replacement would
-        // silently alter string fields (e.g. a camera name) inside an
-        // otherwise well-formed request.
-        let request = match std::str::from_utf8(line) {
-            Ok(text) => match Request::decode(text.trim_end()) {
-                Ok(request) => request,
-                Err(e) => {
-                    conn.fill(seq, bad_request(e));
-                    return;
-                }
+        let line = match canonical_frame_session(&line) {
+            Some(session) => match self.offer_line(conn, seq, session, line) {
+                Ok(()) => return,
+                Err(line) => line,
             },
-            Err(e) => {
-                conn.fill(
-                    seq,
-                    bad_request(format_args!("request line is not valid UTF-8: {e}")),
-                );
-                return;
-            }
+            None => line,
         };
-        if let Some(response) = self.handle_request(conn, seq, request) {
+        let response = match decode_line(&line) {
+            Ok(request) => self.handle_request(conn, seq, request),
+            Err(response) => Some(response),
+        };
+        if let Some(response) = response {
             conn.fill(seq, response);
+        }
+    }
+
+    /// Hands a canonical frame line to its session's shard undecoded, when
+    /// the decoded frame would get there too: the server is not shutting
+    /// down, this connection owns the session and the shard has room. The
+    /// worker then runs the checks [`Transport::handle_line`] would. Any
+    /// other time the line comes back and is answered inline, as any frame
+    /// line is: `bad-request` when it does not decode, else `shutting-down`,
+    /// `unknown-session` or `backpressure`.
+    fn offer_line(
+        &mut self,
+        conn: &Conn,
+        seq: u64,
+        session: u64,
+        line: Vec<u8>,
+    ) -> Result<(), Vec<u8>> {
+        if self.shared.shutting_down.load(Ordering::SeqCst) {
+            return Err(line);
+        }
+        let Some(state) = self.owned_state(conn, session) else {
+            return Err(line);
+        };
+        let job = Job {
+            session_id: session,
+            session: state,
+            kind: JobKind::Frame(JobPayload::Line(line)),
+            conn: conn.id,
+            seq,
+        };
+        match self.shard_for(session).offer_frame(job) {
+            Ok(()) => {
+                self.outstanding += 1;
+                Ok(())
+            }
+            Err(Job {
+                kind: JobKind::Frame(JobPayload::Line(line)),
+                ..
+            }) => Err(line),
+            Err(_) => unreachable!("a refused offer hands back the job it was given"),
         }
     }
 
@@ -785,9 +855,9 @@ impl Transport {
                 // way. The payload encoding of each binary frame is
                 // self-describing, so the server only needs to remember
                 // "binary allowed". The dispersion precision applies to
-                // binary frames only: a JSON frame arrives decoded and
-                // always scans at f64, so that is what a JSON negotiation
-                // confirms.
+                // binary frames only: a JSON frame decodes to an f64 field
+                // and always scans at f64, so that is what a JSON
+                // negotiation confirms.
                 conn.binary_frames = matches!(format, FrameFormat::Binary(_));
                 conn.dispersion = if conn.binary_frames {
                     dispersion
@@ -914,7 +984,7 @@ impl Transport {
     }
 
     /// Submits one frame payload to the session's shard — the shared tail of
-    /// the JSON and binary submission paths.
+    /// the inline JSON and the binary submission paths.
     fn submit_frame(
         &mut self,
         conn: &mut Conn,
@@ -928,21 +998,9 @@ impl Transport {
         let Some(state) = self.owned_state(conn, session) else {
             return Some(unknown_session_error(session));
         };
-        // Decoded payloads cross a trust boundary: an inconsistent shape, or
-        // more channels than the class catalogue, would panic deep inside
-        // metric extraction. (The binary path validates shape against byte
-        // count before the job is built, and the kernel rejects its channel
-        // count as a payload error.)
         if let JobPayload::Decoded(probs) = &payload {
-            if !probs.shape_consistent() {
-                return Some(bad_request("frame payload has an inconsistent shape"));
-            }
-            if probs.num_classes() > SemanticClass::ALL.len() {
-                return Some(bad_request(format!(
-                    "frame has {} softmax channels; the class catalogue has {}",
-                    probs.num_classes(),
-                    SemanticClass::ALL.len()
-                )));
+            if let Err(response) = check_probs(probs) {
+                return Some(response);
             }
         }
         let job = Job {
@@ -1139,6 +1197,8 @@ fn fatal_poll_error(e: &io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaseg_data::ProbMap;
+    use proptest::prelude::*;
 
     /// Regression test for the poll-error branch: a persistent poller
     /// failure must classify as fatal (drain and exit the loop) — it used
@@ -1176,5 +1236,101 @@ mod tests {
         assert_eq!(buf.scanned, 5);
         buf.extend(b":\"ping\"}\n");
         assert_eq!(buf.find_newline(), Some(13));
+    }
+
+    /// The session of the frame a line decodes to; `None` when it does not
+    /// decode or is some other request.
+    fn decoded_frame_session(line: &[u8]) -> Option<u64> {
+        match decode_line(line) {
+            Ok(Request::Frame { session, .. }) => Some(session),
+            _ => None,
+        }
+    }
+
+    /// The router's contract: a line it hands to a shard either fails to
+    /// decode there or decodes to a frame of exactly the routed session.
+    fn routes_as_decoded(line: &[u8]) -> bool {
+        canonical_frame_session(line).is_none_or(|routed| {
+            decode_line(line).map_or(
+                true,
+                |request| matches!(request, Request::Frame { session, .. } if session == routed),
+            )
+        })
+    }
+
+    #[test]
+    fn only_the_encoder_spelling_routes_a_frame_line() {
+        let canonical = Request::encode_frame(7, &ProbMap::uniform(2, 1, 3));
+        let probs = canonical
+            .strip_prefix(r#"{"op":"frame","session":7,"#)
+            .expect("the encoder's spelling");
+        let line = |head: &str| format!("{head}{probs}");
+        // (line, session routed to a shard, session the decoder reads)
+        let cases = [
+            (canonical.clone(), Some(7), Some(7)),
+            (
+                line(r#"{"op":"frame","session":999999999999999,"#),
+                Some(999_999_999_999_999),
+                Some(999_999_999_999_999),
+            ),
+            (line(r#"{"op":"frame","session":0,"#), Some(0), Some(0)),
+            (line(r#"{ "op":"frame","session":7,"#), None, Some(7)),
+            (line(r#"{"session":7,"op":"frame","#), None, Some(7)),
+            (line(r#"{"op":"frame","session":1.0,"#), None, Some(1)),
+            (line(r#"{"op":"frame","session":-1,"#), None, None),
+            (
+                line(r#"{"op":"frame","session":1000000000000000,"#),
+                None,
+                Some(1_000_000_000_000_000),
+            ),
+            (line(r#"{"op":"frame","session":07,"#), None, Some(7)),
+            // The decoder takes the first of duplicate keys, and so does
+            // the router.
+            (
+                line(r#"{"op":"frame","session":7,"op":"stats","#),
+                Some(7),
+                Some(7),
+            ),
+            (
+                line(r#"{"op":"frame","session":7,"session":8,"#),
+                Some(7),
+                Some(7),
+            ),
+        ];
+        for (line, routed, decoded) in cases {
+            assert_eq!(canonical_frame_session(line.as_bytes()), routed, "{line}");
+            assert_eq!(decoded_frame_session(line.as_bytes()), decoded, "{line}");
+            assert!(routes_as_decoded(line.as_bytes()), "{line}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_the_router_reads_the_session_the_decoder_reads(
+            session in 0u64..1_000_000_000_000_000,
+            digits in 1u32..16,
+            position in any::<u64>(),
+            byte in 0u8..=255,
+            truncate in any::<bool>()
+        ) {
+            // Sessions of every length, not mostly 15-digit ones.
+            let session = session % 10u64.pow(digits);
+            let line = Request::encode_frame(session, &ProbMap::uniform(1, 1, 2)).into_bytes();
+            prop_assert_eq!(canonical_frame_session(&line), Some(session));
+            // One byte changed, or the line cut short, anywhere; the line is
+            // short, so many changes land in the prefix or the session.
+            let mut changed = line;
+            let position = (position % changed.len() as u64) as usize;
+            if truncate {
+                changed.truncate(position);
+            } else {
+                changed[position] = byte;
+            }
+            prop_assert!(
+                routes_as_decoded(&changed),
+                "{}",
+                String::from_utf8_lossy(&changed)
+            );
+        }
     }
 }
