@@ -280,6 +280,26 @@ impl ProbMap {
         }
     }
 
+    /// Creates a field from its flat backing buffer in storage order (the
+    /// inverse of [`ProbMap::values`]). `None` unless the shape passes
+    /// [`ProbMap::shape_consistent`]: non-zero dimensions and exactly
+    /// `width * height * num_classes` values. The values themselves are not
+    /// inspected.
+    pub fn from_values(
+        width: usize,
+        height: usize,
+        num_classes: usize,
+        data: Vec<f64>,
+    ) -> Option<Self> {
+        let map = Self {
+            width,
+            height,
+            num_classes,
+            data,
+        };
+        map.shape_consistent().then_some(map)
+    }
+
     /// Creates a field that puts probability one on the class of `labels` at
     /// every pixel (void pixels get a uniform distribution). Useful for
     /// turning a hard prediction into a degenerate softmax field.
@@ -859,6 +879,27 @@ mod tests {
         (0..n)
             .map(|i| if i == channel { 1.0 } else { 0.0 })
             .collect()
+    }
+
+    #[test]
+    fn from_values_checks_the_shape() {
+        let map = ProbMap::uniform(3, 2, 4);
+        let rebuilt = ProbMap::from_values(3, 2, 4, map.values().to_vec());
+        assert_eq!(rebuilt, Some(map));
+        for (width, height, classes, len) in [
+            (3, 2, 4, 23),
+            (3, 2, 4, 25),
+            (0, 2, 4, 0),
+            (3, 0, 4, 0),
+            (3, 2, 0, 0),
+            (usize::MAX, 2, 4, 8),
+        ] {
+            assert_eq!(
+                ProbMap::from_values(width, height, classes, vec![0.5; len]),
+                None,
+                "{width}x{height}x{classes} with {len} values"
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //! the in-process one after the round-trip (floats travel in shortest
 //! round-trip form).
 //!
+//! The two hot messages, the `frame` request and the `verdicts` reply, are
+//! written and read directly in that derived spelling, between text and
+//! [`ProbMap`] / [`SegmentVerdict`], with no [`Value`] tree in between.
+//! [`Request::encode_frame`] and [`Response::encode`] write them through
+//! `serde_json`'s own number and string writers, byte for byte what the
+//! [`Value`] rendering writes. [`Request::decode`] and [`Response::decode`]
+//! first try a reader of exactly that spelling (fixed key order, no
+//! whitespace, no escapes, nothing after the last `}`), which reads its
+//! numbers through `serde_json`'s own number reader. At the first byte
+//! that differs the line takes the [`Value`] path instead, which also
+//! decodes every other message, builds every error, and is the oracle the
+//! tests hold the direct codec to.
+//!
 //! Decoding is total: any malformed line becomes a
 //! [`ServeError::Protocol`], which the server answers with
 //! [`ErrorCode::BadRequest`] instead of dropping the connection — one
@@ -26,8 +39,9 @@
 use crate::ServeError;
 use metaseg::stream::{SegmentVerdict, SessionStats};
 use metaseg::DispersionPrecision;
-use metaseg_data::{ProbEncoding, ProbMap};
+use metaseg_data::{ProbEncoding, ProbMap, SemanticClass};
 use serde::{Deserialize, Serialize, Value};
+use serde_json::{write_number, write_string};
 use std::fmt;
 
 /// The frame-submission format of a connection.
@@ -306,17 +320,290 @@ fn string_field(value: &Value, key: &str) -> Result<String, ServeError> {
         .to_string())
 }
 
+/// How [`Request::encode_frame`] starts every frame line.
+const FRAME_LINE_PREFIX: &str = r#"{"op":"frame","session":"#;
+
+/// The session of a frame line spelled as [`Request::encode_frame`] writes
+/// it: [`FRAME_LINE_PREFIX`], then 1–15 ASCII digits without a leading zero,
+/// then a `,`. Nothing later in the line can change the op or the session,
+/// because the decoder's object lookup takes the first of duplicate keys,
+/// and up to 15 digits read exactly through the decoder's f64 numbers. So
+/// the line either fails to decode or decodes to a frame of this session.
+/// `None` for every other line.
+pub(crate) fn canonical_frame_session(line: &[u8]) -> Option<u64> {
+    let rest = line.strip_prefix(FRAME_LINE_PREFIX.as_bytes())?;
+    let digits = rest
+        .iter()
+        .take(16)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    let canonical = (1..=15).contains(&digits)
+        && rest.get(digits) == Some(&b',')
+        && (digits == 1 || rest[0] != b'0');
+    canonical.then(|| {
+        rest[..digits]
+            .iter()
+            .fold(0, |session, &digit| session * 10 + u64::from(digit - b'0'))
+    })
+}
+
+/// The derived serde spelling of each class, indexed by class id: what
+/// `SemanticClass::serialize` writes (`"Car"`, not the catalogue name
+/// `"car"`), so the verdict codec needs no heap string per verdict.
+const CLASS_SPELLINGS: [&str; SemanticClass::ALL.len()] = [
+    "Road",
+    "Sidewalk",
+    "Building",
+    "Wall",
+    "Fence",
+    "Pole",
+    "TrafficLight",
+    "TrafficSign",
+    "Vegetation",
+    "Terrain",
+    "Sky",
+    "Human",
+    "Rider",
+    "Car",
+    "Truck",
+    "Bus",
+    "Train",
+    "Motorcycle",
+    "Bicycle",
+    "Void",
+];
+
+/// Writes a `verdicts` reply as the [`Value`] rendering would, straight
+/// into one string.
+fn encode_verdicts(session: u64, frame: usize, verdicts: &[SegmentVerdict]) -> String {
+    let mut out = String::with_capacity(64 + 160 * verdicts.len());
+    out.push_str(r#"{"ok":"verdicts","session":"#);
+    write_number(&mut out, session as f64);
+    out.push_str(r#","frame":"#);
+    write_number(&mut out, frame as f64);
+    out.push_str(r#","verdicts":["#);
+    for (i, verdict) in verdicts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(r#"{"frame":"#);
+        write_number(&mut out, verdict.frame as f64);
+        out.push_str(r#","track_id":"#);
+        write_number(&mut out, verdict.track_id as f64);
+        out.push_str(r#","region_id":"#);
+        write_number(&mut out, verdict.region_id as f64);
+        out.push_str(r#","class":"#);
+        write_string(&mut out, CLASS_SPELLINGS[usize::from(verdict.class.id())]);
+        out.push_str(r#","area":"#);
+        write_number(&mut out, verdict.area as f64);
+        out.push_str(r#","tp_probability":"#);
+        write_number(&mut out, verdict.tp_probability);
+        out.push_str(r#","predicted_iou":"#);
+        write_number(&mut out, verdict.predicted_iou);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
+}
+
+/// A reader of the one spelling the hot-message writers emit. Every step
+/// returns `None` at the first byte that differs from it, and the caller
+/// then decodes the whole line through the [`Value`] path instead. Each
+/// value it does read is the one the [`Value`] path would read.
+struct CanonicalReader<'a> {
+    rest: &'a str,
+}
+
+impl CanonicalReader<'_> {
+    /// Consumes `text` if the line continues with it.
+    fn eat(&mut self, text: &str) -> bool {
+        match self.rest.strip_prefix(text) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// [`CanonicalReader::eat`], as a step that must succeed.
+    fn literal(&mut self, text: &str) -> Option<()> {
+        self.eat(text).then_some(())
+    }
+
+    /// The end of the line.
+    fn end(&self) -> Option<()> {
+        self.rest.is_empty().then_some(())
+    }
+
+    /// A float: `null` is NaN, as `f64::deserialize` reads it, and a
+    /// number goes through the document parser's own number reader.
+    fn float(&mut self) -> Option<f64> {
+        match self.rest.as_bytes().first()? {
+            b'n' => self.literal("null").map(|()| f64::NAN),
+            b'-' | b'0'..=b'9' => {
+                let (len, number) = serde_json::read_number(self.rest);
+                self.rest = &self.rest[len..];
+                number
+            }
+            _ => None,
+        }
+    }
+
+    /// An integer spelled as the writers spell one, ASCII digits without a
+    /// leading zero, as a document number.
+    fn integer(&mut self) -> Option<Value> {
+        let digits = self.rest.bytes().take_while(u8::is_ascii_digit).count();
+        if digits == 0 || (digits > 1 && self.rest.starts_with('0')) {
+            return None;
+        }
+        let (len, number) = serde_json::read_number(self.rest);
+        // A longer token has a fraction, an exponent or a sign after the
+        // digits.
+        if len != digits {
+            return None;
+        }
+        self.rest = &self.rest[len..];
+        number.map(Value::Number)
+    }
+
+    /// A session id, read as [`Value::as_u64`] reads it.
+    fn session(&mut self) -> Option<u64> {
+        self.integer()?.as_u64()
+    }
+
+    /// Any other integer, read as `usize::deserialize` reads it.
+    fn size(&mut self) -> Option<usize> {
+        usize::deserialize(&self.integer()?).ok()
+    }
+
+    /// A class in its derived spelling.
+    fn class(&mut self) -> Option<SemanticClass> {
+        let (name, rest) = self.rest.strip_prefix('"')?.split_once('"')?;
+        let id = CLASS_SPELLINGS
+            .iter()
+            .position(|&spelling| spelling == name)?;
+        self.rest = rest;
+        Some(SemanticClass::ALL[id])
+    }
+
+    /// One verdict object, keys in field order.
+    fn verdict(&mut self) -> Option<SegmentVerdict> {
+        self.literal(r#"{"frame":"#)?;
+        let frame = self.size()?;
+        self.literal(r#","track_id":"#)?;
+        let track_id = self.size()?;
+        self.literal(r#","region_id":"#)?;
+        let region_id = self.size()?;
+        self.literal(r#","class":"#)?;
+        let class = self.class()?;
+        self.literal(r#","area":"#)?;
+        let area = self.size()?;
+        self.literal(r#","tp_probability":"#)?;
+        let tp_probability = self.float()?;
+        self.literal(r#","predicted_iou":"#)?;
+        let predicted_iou = self.float()?;
+        self.literal("}")?;
+        Some(SegmentVerdict {
+            frame,
+            track_id,
+            region_id,
+            class,
+            area,
+            tp_probability,
+            predicted_iou,
+        })
+    }
+}
+
+/// Reads a `frame` request spelled exactly as [`Request::encode_frame`]
+/// writes it. `None` at the first byte that differs, and for a shape
+/// [`ProbMap::from_values`] rejects, which the [`Value`] path decodes and
+/// the server's shape check answers.
+fn read_frame(line: &str) -> Option<Request> {
+    let mut line = CanonicalReader { rest: line };
+    line.literal(FRAME_LINE_PREFIX)?;
+    let session = line.session()?;
+    line.literal(r#","probs":{"width":"#)?;
+    let width = line.size()?;
+    line.literal(r#","height":"#)?;
+    let height = line.size()?;
+    line.literal(r#","num_classes":"#)?;
+    let num_classes = line.size()?;
+    line.literal(r#","data":["#)?;
+    // The shape is untrusted: reserve no more values than the rest of the
+    // line can hold, at two bytes (a digit and a comma) or more each.
+    let claimed = width
+        .checked_mul(height)
+        .and_then(|pixels| pixels.checked_mul(num_classes))
+        .unwrap_or(0);
+    let mut data = Vec::with_capacity(claimed.min(line.rest.len() / 2));
+    loop {
+        data.push(line.float()?);
+        if !line.eat(",") {
+            break;
+        }
+    }
+    line.literal("]}}")?;
+    line.end()?;
+    let probs = ProbMap::from_values(width, height, num_classes, data)?;
+    Some(Request::Frame { session, probs })
+}
+
+/// Reads a `verdicts` reply spelled exactly as [`Response::encode`] writes
+/// it. `None` at the first byte that differs.
+fn read_verdicts(line: &str) -> Option<Response> {
+    let mut line = CanonicalReader { rest: line };
+    line.literal(r#"{"ok":"verdicts","session":"#)?;
+    let session = line.session()?;
+    line.literal(r#","frame":"#)?;
+    let frame = line.size()?;
+    line.literal(r#","verdicts":["#)?;
+    let mut verdicts = Vec::new();
+    if !line.eat("]") {
+        loop {
+            verdicts.push(line.verdict()?);
+            if !line.eat(",") {
+                break;
+            }
+        }
+        line.literal("]")?;
+    }
+    line.literal("}")?;
+    line.end()?;
+    Some(Response::Verdicts {
+        session,
+        frame,
+        verdicts,
+    })
+}
+
 impl Request {
     /// Renders a frame submission from borrowed parts — the hot-path
     /// encoder: submitting a frame must not require cloning the softmax
-    /// field into an owned [`Request`] first.
+    /// field into an owned [`Request`] first. Writes the [`Value`]
+    /// rendering's bytes straight into one string.
     pub fn encode_frame(session: u64, probs: &ProbMap) -> String {
-        let value = object(vec![
-            ("op", Value::String("frame".into())),
-            ("session", session.serialize()),
-            ("probs", probs.serialize()),
-        ]);
-        serde_json::to_string(&value).expect("document model serialization is infallible")
+        let values = probs.values();
+        // Room for the keys and a typical shortest-form probability each.
+        let mut out = String::with_capacity(96 + 24 * values.len());
+        out.push_str(FRAME_LINE_PREFIX);
+        write_number(&mut out, session as f64);
+        out.push_str(r#","probs":{"width":"#);
+        write_number(&mut out, probs.width() as f64);
+        out.push_str(r#","height":"#);
+        write_number(&mut out, probs.height() as f64);
+        out.push_str(r#","num_classes":"#);
+        write_number(&mut out, probs.num_classes() as f64);
+        out.push_str(r#","data":["#);
+        for (i, &value) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_number(&mut out, value);
+        }
+        out.push_str("]}}");
+        out
     }
 
     /// Renders the request as one compact JSON line (no trailing newline).
@@ -355,7 +642,9 @@ impl Request {
         serde_json::to_string(&value).expect("document model serialization is infallible")
     }
 
-    /// Decodes one request line.
+    /// Decodes one request line: a frame line spelled as
+    /// [`Request::encode_frame`] writes it directly, every other line
+    /// through the [`Value`] document, to the same request.
     ///
     /// # Errors
     ///
@@ -363,6 +652,12 @@ impl Request {
     /// or a missing/mistyped field; the server answers these with
     /// [`ErrorCode::BadRequest`] rather than closing the connection.
     pub fn decode(line: &str) -> Result<Self, ServeError> {
+        read_frame(line).map_or_else(|| Self::decode_value(line), Ok)
+    }
+
+    /// [`Request::decode`] through the [`Value`] document, for every
+    /// spelling.
+    fn decode_value(line: &str) -> Result<Self, ServeError> {
         let value: Value =
             serde_json::from_str(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
         let op = string_field(&value, "op")?;
@@ -416,12 +711,7 @@ impl Response {
                 session,
                 frame,
                 verdicts,
-            } => object(vec![
-                ("ok", Value::String("verdicts".into())),
-                ("session", session.serialize()),
-                ("frame", frame.serialize()),
-                ("verdicts", verdicts.serialize()),
-            ]),
+            } => return encode_verdicts(*session, *frame, verdicts),
             Response::Stats { session, stats } => object(vec![
                 ("ok", Value::String("stats".into())),
                 ("session", session.serialize()),
@@ -456,13 +746,21 @@ impl Response {
         serde_json::to_string(&value).expect("document model serialization is infallible")
     }
 
-    /// Decodes one response line.
+    /// Decodes one response line: a `verdicts` reply spelled as
+    /// [`Response::encode`] writes it directly, every other line through
+    /// the [`Value`] document, to the same response.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Protocol`] on malformed JSON, an unknown
     /// `ok`/`err` discriminator, or a missing/mistyped field.
     pub fn decode(line: &str) -> Result<Self, ServeError> {
+        read_verdicts(line).map_or_else(|| Self::decode_value(line), Ok)
+    }
+
+    /// [`Response::decode`] through the [`Value`] document, for every
+    /// spelling.
+    fn decode_value(line: &str) -> Result<Self, ServeError> {
         let value: Value =
             serde_json::from_str(line).map_err(|e| ServeError::Protocol(e.to_string()))?;
         if let Some(err) = value.get("err") {
@@ -518,7 +816,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaseg_data::SemanticClass;
+    use crate::shard::{check_probs, decode_line};
     use proptest::prelude::*;
 
     fn tiny_probs() -> ProbMap {
@@ -594,10 +892,7 @@ mod tests {
         // start exactly like this; any other spelling is decoded on the
         // event loop.
         assert!(line.starts_with(r#"{"op":"frame","session":7,"#), "{line}");
-        assert_eq!(
-            crate::transport::canonical_frame_session(line.as_bytes()),
-            Some(7)
-        );
+        assert_eq!(canonical_frame_session(line.as_bytes()), Some(7));
     }
 
     #[test]
@@ -764,6 +1059,194 @@ mod tests {
         assert!(!FrameFormat::Binary(ProbEncoding::U16).is_lossless());
     }
 
+    /// The [`Value`] rendering of a frame request: the oracle
+    /// [`Request::encode_frame`] must equal byte for byte.
+    fn frame_value_line(session: u64, probs: &ProbMap) -> String {
+        let value = object(vec![
+            ("op", Value::String("frame".into())),
+            ("session", session.serialize()),
+            ("probs", probs.serialize()),
+        ]);
+        serde_json::to_string(&value).expect("document model serialization is infallible")
+    }
+
+    /// The [`Value`] rendering of a `verdicts` reply: the oracle
+    /// [`Response::encode`] must equal byte for byte.
+    fn verdicts_value_line(session: u64, frame: usize, verdicts: &[SegmentVerdict]) -> String {
+        let value = object(vec![
+            ("ok", Value::String("verdicts".into())),
+            ("session", session.serialize()),
+            ("frame", frame.serialize()),
+            ("verdicts", verdicts.serialize()),
+        ]);
+        serde_json::to_string(&value).expect("document model serialization is infallible")
+    }
+
+    /// A decode result spelled out. `Debug` prints every finite float in
+    /// shortest round-trip form and keeps the sign of zero, so two results
+    /// print alike exactly when they are equal bit for bit (any NaN prints
+    /// as `NaN`) and an error prints its message.
+    fn spelled<T: fmt::Debug>(decoded: &Result<T, ServeError>) -> String {
+        format!("{decoded:?}")
+    }
+
+    /// A float of the drawn kind: kinds below 6 print short, the rest
+    /// include the longest spellings (subnormals, `±MAX`) and any bits.
+    fn float_of((kind, bits): (u32, u64)) -> f64 {
+        match kind {
+            0 => f64::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => 1.0,
+            4 | 5 => (bits >> 11) as f64 / (1u64 << 53) as f64,
+            6 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+            7 => f64::from_bits(bits & 1 << 63 | f64::MAX.to_bits()),
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    /// An integer of the drawn kind: any bits, small, at least 2^53 (no
+    /// longer exact through the wire's f64 numbers), or the maximum.
+    fn u64_of((kind, bits): (u32, u64)) -> u64 {
+        match kind {
+            0 => bits,
+            1 => bits % 1000,
+            2 => bits | 1 << 53,
+            _ => u64::MAX,
+        }
+    }
+
+    fn usize_of(drawn: (u32, u64)) -> usize {
+        u64_of(drawn) as usize
+    }
+
+    fn verdict_of(sizes: &[(u32, u64)], class: usize, floats: &[(u32, u64)]) -> SegmentVerdict {
+        SegmentVerdict {
+            frame: usize_of(sizes[0]),
+            track_id: usize_of(sizes[1]),
+            region_id: usize_of(sizes[2]),
+            class: SemanticClass::ALL[class],
+            area: usize_of(sizes[3]),
+            tp_probability: float_of(floats[0]),
+            predicted_iou: float_of(floats[1]),
+        }
+    }
+
+    /// `line` with the byte at `position` (modulo its length) cut off or
+    /// changed. `pick` below 64 picks a byte that means something in JSON
+    /// numbers and structure, and is the ASCII byte itself otherwise.
+    fn changed(line: &str, position: u64, pick: u8, truncate: bool) -> String {
+        const MEANINGFUL: &[u8] = b"0123456789-+.eE,:{}[]\"\\ nul";
+        let mut bytes = line.as_bytes().to_vec();
+        let position = (position % bytes.len() as u64) as usize;
+        if truncate {
+            bytes.truncate(position);
+        } else if pick < 64 {
+            bytes[position] = MEANINGFUL[usize::from(pick) % MEANINGFUL.len()];
+        } else {
+            bytes[position] = pick;
+        }
+        String::from_utf8(bytes).expect("an ASCII byte in an ASCII line")
+    }
+
+    #[test]
+    fn class_spellings_are_the_derived_ones() {
+        for (id, class) in SemanticClass::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(class.id()), id);
+            assert_eq!(
+                class.serialize(),
+                Value::String(CLASS_SPELLINGS[id].into()),
+                "{class:?}"
+            );
+        }
+    }
+
+    /// Spellings the direct readers leave to the [`Value`] path, which
+    /// decodes them as it always has.
+    #[test]
+    fn other_spellings_take_the_value_path() {
+        let frame = Request::encode_frame(7, &tiny_probs());
+        let verdict = SegmentVerdict {
+            frame: 3,
+            track_id: 9,
+            region_id: 1,
+            class: SemanticClass::Car,
+            area: 42,
+            tp_probability: 0.875,
+            predicted_iou: 0.5,
+        };
+        let verdicts = Response::Verdicts {
+            session: 7,
+            frame: 3,
+            verdicts: vec![verdict],
+        }
+        .encode();
+        let in_frame = |from: &str, to: &str| frame.replacen(from, to, 1);
+        let in_verdicts = |from: &str, to: &str| verdicts.replacen(from, to, 1);
+        // (line, whether the `Value` path decodes it)
+        let requests = [
+            (in_frame(r#""op":"frame","#, r#""op": "frame","#), true),
+            (in_frame(",0.25,", ", 0.25,"), true),
+            (
+                in_frame(
+                    r#"{"op":"frame","session":7,"#,
+                    r#"{"session":7,"op":"frame","#,
+                ),
+                true,
+            ),
+            (in_frame(r#""session""#, r#""s\u0065ssion""#), true),
+            (in_frame(r#""width":2"#, r#""width":2.0"#), true),
+            (in_frame(r#""session":7"#, r#""session":1e1"#), true),
+            (in_frame(r#""session":7"#, r#""session":07"#), true),
+            (in_frame(r#""session":7"#, r#""session":-0"#), true),
+            (in_frame(r#""width":2"#, r#""width":2,"width":2"#), true),
+            (format!("{frame} "), true),
+            (in_frame(r#""width":2"#, r#""width":1"#), true),
+            (in_frame(r#""data":[0.5"#, r#""data":[true"#), false),
+        ];
+        for (line, decodes) in requests {
+            assert!(read_frame(&line).is_none(), "{line}");
+            let decoded = Request::decode(&line);
+            assert_eq!(spelled(&decoded), spelled(&Request::decode_value(&line)));
+            assert_eq!(decoded.is_ok(), decodes, "{line}");
+        }
+        let responses = [
+            (
+                in_verdicts(r#""ok":"verdicts","#, r#""ok": "verdicts","#),
+                true,
+            ),
+            (
+                in_verdicts(r#""session":7,"frame":3"#, r#""frame":3,"session":7"#),
+                true,
+            ),
+            (in_verdicts(r#""area":42"#, r#""area":42.0"#), true),
+            (in_verdicts(r#""area""#, r#""\u0061rea""#), true),
+            (in_verdicts(r#""track_id":9"#, r#""track_id":09"#), true),
+            (in_verdicts(r#""Car""#, r#""car""#), false),
+            (in_verdicts(r#""Car""#, r#""C\u0061r""#), true),
+            (format!("{verdicts} "), true),
+        ];
+        for (line, decodes) in responses {
+            assert!(read_verdicts(&line).is_none(), "{line}");
+            let decoded = Response::decode(&line);
+            assert_eq!(spelled(&decoded), spelled(&Response::decode_value(&line)));
+            assert_eq!(decoded.is_ok(), decodes, "{line}");
+        }
+        // A frame whose shape does not hold its values decodes, and the
+        // server answers it with the message it always has.
+        let lying = in_frame(r#""width":2"#, r#""width":3"#);
+        let Ok(Request::Frame { probs, .. }) = Request::decode(&lying) else {
+            panic!("{lying} decodes");
+        };
+        assert_eq!(
+            check_probs(&probs),
+            Err(Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "frame payload has an inconsistent shape".into(),
+            })
+        );
+    }
+
     /// One character of the given class, each a case the JSON string scan
     /// treats differently: printable ASCII, the two stop bytes `"` and `\`,
     /// `/`, raw control characters U+0000–U+001F, DEL, and 2-, 3- and 4-byte
@@ -791,6 +1274,236 @@ mod tests {
             .iter()
             .map(|&(class, pick)| scan_char(class, pick))
             .collect()
+    }
+
+    /// The session of the frame a line decodes to; `None` when it does not
+    /// decode or is some other request.
+    fn decoded_frame_session(line: &[u8]) -> Option<u64> {
+        match decode_line(line) {
+            Ok(Request::Frame { session, .. }) => Some(session),
+            _ => None,
+        }
+    }
+
+    /// The router's contract: a line it hands to a shard either fails to
+    /// decode there or decodes to a frame of exactly the routed session.
+    fn routes_as_decoded(line: &[u8]) -> bool {
+        canonical_frame_session(line).is_none_or(|routed| {
+            decode_line(line).map_or(
+                true,
+                |request| matches!(request, Request::Frame { session, .. } if session == routed),
+            )
+        })
+    }
+
+    #[test]
+    fn only_the_encoder_spelling_routes_a_frame_line() {
+        let canonical = Request::encode_frame(7, &ProbMap::uniform(2, 1, 3));
+        let probs = canonical
+            .strip_prefix(r#"{"op":"frame","session":7,"#)
+            .expect("the encoder's spelling");
+        let line = |head: &str| format!("{head}{probs}");
+        // (line, session routed to a shard, session the decoder reads)
+        let cases = [
+            (canonical.clone(), Some(7), Some(7)),
+            (
+                line(r#"{"op":"frame","session":999999999999999,"#),
+                Some(999_999_999_999_999),
+                Some(999_999_999_999_999),
+            ),
+            (line(r#"{"op":"frame","session":0,"#), Some(0), Some(0)),
+            (line(r#"{ "op":"frame","session":7,"#), None, Some(7)),
+            (line(r#"{"session":7,"op":"frame","#), None, Some(7)),
+            (line(r#"{"op":"frame","session":1.0,"#), None, Some(1)),
+            (line(r#"{"op":"frame","session":-1,"#), None, None),
+            (
+                line(r#"{"op":"frame","session":1000000000000000,"#),
+                None,
+                Some(1_000_000_000_000_000),
+            ),
+            (line(r#"{"op":"frame","session":07,"#), None, Some(7)),
+            // The decoder takes the first of duplicate keys, and so does
+            // the router.
+            (
+                line(r#"{"op":"frame","session":7,"op":"stats","#),
+                Some(7),
+                Some(7),
+            ),
+            (
+                line(r#"{"op":"frame","session":7,"session":8,"#),
+                Some(7),
+                Some(7),
+            ),
+        ];
+        for (line, routed, decoded) in cases {
+            assert_eq!(canonical_frame_session(line.as_bytes()), routed, "{line}");
+            assert_eq!(decoded_frame_session(line.as_bytes()), decoded, "{line}");
+            assert!(routes_as_decoded(line.as_bytes()), "{line}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_the_router_reads_the_session_the_decoder_reads(
+            session in 0u64..1_000_000_000_000_000,
+            digits in 1u32..16,
+            position in any::<u64>(),
+            byte in 0u8..=255,
+            truncate in any::<bool>()
+        ) {
+            // Sessions of every length, not mostly 15-digit ones.
+            let session = session % 10u64.pow(digits);
+            let line = Request::encode_frame(session, &ProbMap::uniform(1, 1, 2)).into_bytes();
+            prop_assert_eq!(canonical_frame_session(&line), Some(session));
+            // One byte changed, or the line cut short, anywhere; the line is
+            // short, so many changes land in the prefix or the session.
+            let mut changed = line;
+            let position = (position % changed.len() as u64) as usize;
+            if truncate {
+                changed.truncate(position);
+            } else {
+                changed[position] = byte;
+            }
+            prop_assert!(
+                routes_as_decoded(&changed),
+                "{}",
+                String::from_utf8_lossy(&changed)
+            );
+        }
+    }
+
+    // The codec's equivalence with the `Value` path. CI runs these four
+    // with many more cases than the default.
+    proptest! {
+        #[test]
+        fn prop_codec_frame_writer_matches_the_value_rendering(
+            session in (0u32..4, any::<u64>()),
+            shape in (1usize..4, 1usize..4, 1usize..4),
+            values in proptest::collection::vec((0u32..9, any::<u64>()), 27),
+            lying in proptest::collection::vec((0u32..4, any::<u64>()), 3)
+        ) {
+            let session = u64_of(session);
+            let (width, height, classes) = shape;
+            let data: Vec<f64> = values[..width * height * classes]
+                .iter()
+                .map(|&drawn| float_of(drawn))
+                .collect();
+            let probs = ProbMap::from_values(width, height, classes, data.clone())
+                .expect("a consistent shape");
+            let line = Request::encode_frame(session, &probs);
+            prop_assert_eq!(&line, &frame_value_line(session, &probs));
+            // The reader takes every line the writer writes, and reads what
+            // the `Value` path reads.
+            prop_assert!(read_frame(&line).is_some(), "{line}");
+            prop_assert_eq!(
+                spelled(&Request::decode(&line)),
+                spelled(&Request::decode_value(&line))
+            );
+            // A map of any shape, as the `Value` path decodes one, writes as
+            // the `Value` rendering does too.
+            let lying = ProbMap::deserialize(&object(vec![
+                ("width", usize_of(lying[0]).serialize()),
+                ("height", usize_of(lying[1]).serialize()),
+                ("num_classes", usize_of(lying[2]).serialize()),
+                ("data", data.serialize()),
+            ]))
+            .expect("the derive takes any shape");
+            prop_assert_eq!(
+                Request::encode_frame(session, &lying),
+                frame_value_line(session, &lying)
+            );
+        }
+
+        #[test]
+        fn prop_codec_verdicts_writer_matches_the_value_rendering(
+            session in (0u32..4, any::<u64>()),
+            frame in (0u32..4, any::<u64>()),
+            verdicts in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..4, any::<u64>()), 4),
+                    0usize..20,
+                    proptest::collection::vec((0u32..9, any::<u64>()), 2),
+                ),
+                0..5
+            )
+        ) {
+            let (session, frame) = (u64_of(session), usize_of(frame));
+            let verdicts: Vec<SegmentVerdict> = verdicts
+                .iter()
+                .map(|(sizes, class, floats)| verdict_of(sizes, *class, floats))
+                .collect();
+            let line = Response::Verdicts {
+                session,
+                frame,
+                verdicts: verdicts.clone(),
+            }
+            .encode();
+            prop_assert_eq!(&line, &verdicts_value_line(session, frame, &verdicts));
+            prop_assert!(read_verdicts(&line).is_some(), "{line}");
+            prop_assert_eq!(
+                spelled(&Response::decode(&line)),
+                spelled(&Response::decode_value(&line))
+            );
+        }
+
+        #[test]
+        fn prop_codec_frame_reader_matches_the_value_path_on_changed_lines(
+            session in (0u32..4, any::<u64>()),
+            shape in (1usize..3, 1usize..3, 1usize..3),
+            values in proptest::collection::vec((0u32..6, any::<u64>()), 8),
+            position in any::<u64>(),
+            pick in 0u8..128,
+            truncate in any::<bool>()
+        ) {
+            let (width, height, classes) = shape;
+            let data = values[..width * height * classes]
+                .iter()
+                .map(|&drawn| float_of(drawn))
+                .collect();
+            let probs = ProbMap::from_values(width, height, classes, data)
+                .expect("a consistent shape");
+            let line = Request::encode_frame(u64_of(session), &probs);
+            let line = changed(&line, position, pick, truncate);
+            prop_assert_eq!(
+                spelled(&Request::decode(&line)),
+                spelled(&Request::decode_value(&line)),
+                "{}",
+                line
+            );
+        }
+
+        #[test]
+        fn prop_codec_verdicts_reader_matches_the_value_path_on_changed_lines(
+            session in (0u32..4, any::<u64>()),
+            verdicts in proptest::collection::vec(
+                (
+                    proptest::collection::vec((1u32..3, any::<u64>()), 4),
+                    0usize..20,
+                    proptest::collection::vec((0u32..6, any::<u64>()), 2),
+                ),
+                0..3
+            ),
+            position in any::<u64>(),
+            pick in 0u8..128,
+            truncate in any::<bool>()
+        ) {
+            let line = Response::Verdicts {
+                session: u64_of(session),
+                frame: 3,
+                verdicts: verdicts
+                    .iter()
+                    .map(|(sizes, class, floats)| verdict_of(sizes, *class, floats))
+                    .collect(),
+            }
+            .encode();
+            let line = changed(&line, position, pick, truncate);
+            prop_assert_eq!(
+                spelled(&Response::decode(&line)),
+                spelled(&Response::decode_value(&line)),
+                "{}",
+                line
+            );
+        }
     }
 
     proptest! {

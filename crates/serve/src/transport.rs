@@ -16,13 +16,16 @@
 //! (or an oversized newline-free line) forces a disconnect.
 //!
 //! Inference never runs on the event loop, and JSON frames are mostly decoded
-//! off it. The loop frames each line; a frame line spelled exactly as
-//! [`Request::encode_frame`] writes it (see [`canonical_frame_session`]),
-//! for a session this connection owns, goes to the session's shard as the
-//! raw bytes it took from the input buffer ([`JobPayload::Line`]), and the
-//! shard worker decodes it with the same [`decode_line`] the loop runs on
-//! every other line. Binary payloads are still checksummed here: moving that
-//! check to the workers measured no gain on `hires` or `fleet`.
+//! off it. The loop frames each line, finding its newline with std's
+//! memchr-backed search; a frame line spelled exactly as
+//! [`Request::encode_frame`] writes it, for a session this connection owns,
+//! goes to the session's shard as the raw bytes it took from the input
+//! buffer ([`JobPayload::Line`]), and the shard worker decodes it with the
+//! same [`decode_line`] the loop runs on every other line. The router,
+//! [`canonical_frame_session`], lives in [`crate::protocol`] next to the
+//! frame writer and reader, the one module that knows that spelling.
+//! Binary payloads are still checksummed here: moving that check to the
+//! workers measured no gain on `hires` or `fleet`.
 //!
 //! Frame, `stats`, `resume` and `close` operations become [`Job`]s on the
 //! session's shard queue; the shard worker posts a [`Completion`] back
@@ -32,7 +35,7 @@
 //! immediately, queued operations fill theirs on completion, and the write
 //! side only ever flushes the longest filled prefix.
 
-use crate::protocol::{ErrorCode, FrameFormat, Request, Response};
+use crate::protocol::{canonical_frame_session, ErrorCode, FrameFormat, Request, Response};
 use crate::server::{
     bad_request, overloaded_error, shutting_down_error, unknown_session_error, ServerConfig, Shared,
 };
@@ -43,7 +46,7 @@ use metaseg::DispersionPrecision;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -66,33 +69,6 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 const DL_CONN: u8 = 0;
 /// Deadline-heap entry kind: an orphaned session's linger expiry.
 const DL_ORPHAN: u8 = 1;
-
-/// How [`Request::encode_frame`] starts every frame line.
-const FRAME_LINE_PREFIX: &[u8] = br#"{"op":"frame","session":"#;
-
-/// The session of a frame line spelled as [`Request::encode_frame`] writes
-/// it: [`FRAME_LINE_PREFIX`], then 1–15 ASCII digits without a leading zero,
-/// then a `,`. Nothing later in the line can change the op or the session,
-/// because the decoder's object lookup takes the first of duplicate keys,
-/// and up to 15 digits read exactly through the decoder's f64 numbers. So
-/// the line either fails to decode or decodes to a frame of this session.
-/// `None` for every other line.
-pub(crate) fn canonical_frame_session(line: &[u8]) -> Option<u64> {
-    let rest = line.strip_prefix(FRAME_LINE_PREFIX)?;
-    let digits = rest
-        .iter()
-        .take(16)
-        .take_while(|b| b.is_ascii_digit())
-        .count();
-    let canonical = (1..=15).contains(&digits)
-        && rest.get(digits) == Some(&b',')
-        && (digits == 1 || rest[0] != b'0');
-    canonical.then(|| {
-        rest[..digits]
-            .iter()
-            .fold(0, |session, &digit| session * 10 + u64::from(digit - b'0'))
-    })
-}
 
 /// One lazily-invalidated deadline-heap entry: `(when, kind, a, b)` where
 /// `(a, b)` is `(token, generation)` for [`DL_CONN`] and `(session, 0)` for
@@ -150,12 +126,17 @@ impl ByteBuf {
     /// arrived since the last search.
     fn find_newline(&mut self) -> Option<usize> {
         let unscanned = &self.as_slice()[self.scanned..];
-        match unscanned.iter().position(|&b| b == b'\n') {
-            Some(offset) => Some(self.scanned + offset),
-            None => {
-                self.scanned = self.len();
-                None
-            }
+        // std's memchr-backed search, many bytes per step. It stops after
+        // the first newline, or at the end of the slice without one.
+        let mut rest = unscanned;
+        let searched = rest
+            .skip_until(b'\n')
+            .expect("reading a byte slice cannot fail");
+        if unscanned[..searched].ends_with(b"\n") {
+            Some(self.scanned + searched - 1)
+        } else {
+            self.scanned = self.len();
+            None
         }
     }
 
@@ -1197,7 +1178,6 @@ fn fatal_poll_error(e: &io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaseg_data::ProbMap;
     use proptest::prelude::*;
 
     /// Regression test for the poll-error branch: a persistent poller
@@ -1238,99 +1218,43 @@ mod tests {
         assert_eq!(buf.find_newline(), Some(13));
     }
 
-    /// The session of the frame a line decodes to; `None` when it does not
-    /// decode or is some other request.
-    fn decoded_frame_session(line: &[u8]) -> Option<u64> {
-        match decode_line(line) {
-            Ok(Request::Frame { session, .. }) => Some(session),
-            _ => None,
-        }
-    }
-
-    /// The router's contract: a line it hands to a shard either fails to
-    /// decode there or decodes to a frame of exactly the routed session.
-    fn routes_as_decoded(line: &[u8]) -> bool {
-        canonical_frame_session(line).is_none_or(|routed| {
-            decode_line(line).map_or(
-                true,
-                |request| matches!(request, Request::Frame { session, .. } if session == routed),
-            )
-        })
-    }
-
-    #[test]
-    fn only_the_encoder_spelling_routes_a_frame_line() {
-        let canonical = Request::encode_frame(7, &ProbMap::uniform(2, 1, 3));
-        let probs = canonical
-            .strip_prefix(r#"{"op":"frame","session":7,"#)
-            .expect("the encoder's spelling");
-        let line = |head: &str| format!("{head}{probs}");
-        // (line, session routed to a shard, session the decoder reads)
-        let cases = [
-            (canonical.clone(), Some(7), Some(7)),
-            (
-                line(r#"{"op":"frame","session":999999999999999,"#),
-                Some(999_999_999_999_999),
-                Some(999_999_999_999_999),
-            ),
-            (line(r#"{"op":"frame","session":0,"#), Some(0), Some(0)),
-            (line(r#"{ "op":"frame","session":7,"#), None, Some(7)),
-            (line(r#"{"session":7,"op":"frame","#), None, Some(7)),
-            (line(r#"{"op":"frame","session":1.0,"#), None, Some(1)),
-            (line(r#"{"op":"frame","session":-1,"#), None, None),
-            (
-                line(r#"{"op":"frame","session":1000000000000000,"#),
-                None,
-                Some(1_000_000_000_000_000),
-            ),
-            (line(r#"{"op":"frame","session":07,"#), None, Some(7)),
-            // The decoder takes the first of duplicate keys, and so does
-            // the router.
-            (
-                line(r#"{"op":"frame","session":7,"op":"stats","#),
-                Some(7),
-                Some(7),
-            ),
-            (
-                line(r#"{"op":"frame","session":7,"session":8,"#),
-                Some(7),
-                Some(7),
-            ),
-        ];
-        for (line, routed, decoded) in cases {
-            assert_eq!(canonical_frame_session(line.as_bytes()), routed, "{line}");
-            assert_eq!(decoded_frame_session(line.as_bytes()), decoded, "{line}");
-            assert!(routes_as_decoded(line.as_bytes()), "{line}");
-        }
-    }
-
     proptest! {
         #[test]
-        fn prop_the_router_reads_the_session_the_decoder_reads(
-            session in 0u64..1_000_000_000_000_000,
-            digits in 1u32..16,
-            position in any::<u64>(),
-            byte in 0u8..=255,
-            truncate in any::<bool>()
+        fn prop_newline_search_finds_what_a_bytewise_scan_finds(
+            bytes in proptest::collection::vec((0u32..8, 0u8..=255), 0..600),
+            reads in proptest::collection::vec(1usize..80, 1..40)
         ) {
-            // Sessions of every length, not mostly 15-digit ones.
-            let session = session % 10u64.pow(digits);
-            let line = Request::encode_frame(session, &ProbMap::uniform(1, 1, 2)).into_bytes();
-            prop_assert_eq!(canonical_frame_session(&line), Some(session));
-            // One byte changed, or the line cut short, anywhere; the line is
-            // short, so many changes land in the prefix or the session.
-            let mut changed = line;
-            let position = (position % changed.len() as u64) as usize;
-            if truncate {
-                changed.truncate(position);
-            } else {
-                changed[position] = byte;
+            // One byte in eight a newline, so lines of every length occur.
+            let bytes: Vec<u8> = bytes
+                .iter()
+                .map(|&(kind, byte)| if kind == 0 { b'\n' } else { byte })
+                .collect();
+            let mut buf = ByteBuf::new();
+            let mut fed = 0;
+            // Feed the bytes in reads of the drawn sizes, cycling through
+            // them, and take every complete line after each read.
+            for &read in reads.iter().cycle() {
+                if fed == bytes.len() {
+                    break;
+                }
+                let end = (fed + read).min(bytes.len());
+                buf.extend(&bytes[fed..end]);
+                fed = end;
+                loop {
+                    let expected = buf.as_slice().iter().position(|&b| b == b'\n');
+                    let found = buf.find_newline();
+                    prop_assert_eq!(found, expected);
+                    match found {
+                        Some(offset) => {
+                            buf.take(offset + 1);
+                        }
+                        None => {
+                            prop_assert_eq!(buf.scanned, buf.len());
+                            break;
+                        }
+                    }
+                }
             }
-            prop_assert!(
-                routes_as_decoded(&changed),
-                "{}",
-                String::from_utf8_lossy(&changed)
-            );
         }
     }
 }
