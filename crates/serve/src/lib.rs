@@ -627,6 +627,212 @@ mod tests {
         assert_eq!(stats.binary_frames, 1);
     }
 
+    /// `count` softmax fields of the small simulated video (96x48), each
+    /// cropped to its bottom-centre `width` x `height` window.
+    fn video_crops(width: usize, height: usize, count: usize, seed: u64) -> Vec<ProbMap> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sim = NetworkSim::new(NetworkProfile::weak());
+        VideoStream::open(&VideoConfig::small(), sim, 0, &mut rng)
+            .take(count)
+            .map(|frame| {
+                let probs = frame.prediction;
+                let left = (probs.width() - width) / 2;
+                let top = probs.height() - height;
+                let values = (top..top + height)
+                    .flat_map(|y| (left..left + width).map(move |x| (x, y)))
+                    .flat_map(|(x, y)| probs.distribution(x, y).to_vec())
+                    .collect();
+                ProbMap::from_values(width, height, probs.num_classes(), values)
+                    .expect("a window of a valid field")
+            })
+            .collect()
+    }
+
+    /// One write carries small binary frames, several to a read, a JSON
+    /// `stats` line, a 64x48x19 f64 frame (~467 KB) that spans many reads,
+    /// and one more frame right behind it. The replies come back in request
+    /// order and equal what the in-process engine answers.
+    #[test]
+    fn pipelined_binary_frames_are_read_whole_and_answered_in_order() {
+        use crate::wire::encode_binary_frame;
+        use metaseg_data::{Frame, FrameId, ProbEncoding};
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::TcpStream;
+
+        let registry = registry_with_default(2);
+        let model = registry.get("default").expect("registered above");
+        let handle = Server::spawn("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut read_reply = || {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Response::decode(reply.trim_end()).unwrap()
+        };
+        let negotiate = Request::Negotiate {
+            format: FrameFormat::Binary(ProbEncoding::F64),
+            dispersion: metaseg::DispersionPrecision::F64,
+        };
+        writeln!(writer, "{}", negotiate.encode()).unwrap();
+        assert!(matches!(read_reply(), Response::Negotiated { .. }));
+        let mut sessions = Vec::new();
+        for camera in ["cam-small", "cam-large"] {
+            let open = Request::Open {
+                model: "default".into(),
+                camera: camera.into(),
+            };
+            writeln!(writer, "{}", open.encode()).unwrap();
+            let Response::Opened { session, .. } = read_reply() else {
+                panic!("open must succeed");
+            };
+            sessions.push(session);
+        }
+        let (small_session, large_session) = (sessions[0], sessions[1]);
+
+        let small = video_crops(6, 4, 4, 904);
+        let large = video_crops(64, 48, 1, 905);
+        // The first three fit in one 16 KiB read of the event loop.
+        assert!(3 * (36 + small[0].values().len() * 8) < 16 * 1024);
+        assert_eq!(large[0].values().len() * 8, 64 * 48 * 19 * 8);
+        let mut small_engine = model.open_stream();
+        let mut large_engine = model.open_stream();
+        let push = |engine: &mut metaseg::stream::MetaSegStream, session: u64, probs: &ProbMap| {
+            let id = FrameId::new(session as usize, engine.frames_seen());
+            let pushed = engine.push_frame(&Frame::unlabeled(id, probs.clone()));
+            Response::Verdicts {
+                session,
+                frame: pushed.frame,
+                verdicts: pushed.verdicts,
+            }
+        };
+
+        let mut bytes = Vec::new();
+        let mut expected = Vec::new();
+        for probs in &small[..3] {
+            bytes.extend(encode_binary_frame(small_session, probs, ProbEncoding::F64));
+            expected.push(push(&mut small_engine, small_session, probs));
+        }
+        bytes.extend(
+            Request::Stats {
+                session: small_session,
+            }
+            .encode()
+            .as_bytes(),
+        );
+        bytes.push(b'\n');
+        expected.push(Response::Stats {
+            session: small_session,
+            stats: small_engine.session_stats(),
+        });
+        bytes.extend(encode_binary_frame(
+            large_session,
+            &large[0],
+            ProbEncoding::F64,
+        ));
+        expected.push(push(&mut large_engine, large_session, &large[0]));
+        bytes.extend(encode_binary_frame(
+            small_session,
+            &small[3],
+            ProbEncoding::F64,
+        ));
+        expected.push(push(&mut small_engine, small_session, &small[3]));
+        writer.write_all(&bytes).unwrap();
+
+        let served: Vec<Response> = expected.iter().map(|_| read_reply()).collect();
+        assert_eq!(served, expected);
+        assert!(
+            served.iter().any(
+                |reply| matches!(reply, Response::Verdicts { verdicts, .. } if !verdicts.is_empty())
+            ),
+            "the frames have segments to judge"
+        );
+        let stats = handle.shutdown();
+        assert_eq!(stats.binary_frames, 5);
+        assert_eq!(stats.frames_processed, 5);
+    }
+
+    /// A payload declared larger than the server can allocate is answered
+    /// `bad-request` and its connection closed, and the server lives on.
+    #[test]
+    fn an_unallocatable_payload_is_refused_and_the_server_lives_on() {
+        use crate::wire::BinaryFrameHeader;
+        use metaseg_data::ProbEncoding;
+        use std::io::{BufRead, BufReader, Read, Write};
+        use std::net::TcpStream;
+        use std::time::Duration;
+
+        let registry = registry_with_default(2);
+        let handle = Server::spawn(
+            "127.0.0.1:0",
+            registry,
+            ServerConfig {
+                max_line_bytes: usize::MAX,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut roundtrip = |line: &str| {
+            writeln!(writer, "{line}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Response::decode(reply.trim_end()).unwrap()
+        };
+        let negotiate = Request::Negotiate {
+            format: FrameFormat::Binary(ProbEncoding::F64),
+            dispersion: metaseg::DispersionPrecision::F64,
+        };
+        assert!(matches!(
+            roundtrip(&negotiate.encode()),
+            Response::Negotiated { .. }
+        ));
+        let open = Request::Open {
+            model: "default".into(),
+            camera: "cam".into(),
+        };
+        let Response::Opened { session, .. } = roundtrip(&open.encode()) else {
+            panic!("open must succeed");
+        };
+
+        // A consistent 2^20 x 2^20 x 2^19 f64 shape: a 2^62-byte payload,
+        // within the cap, for a session this connection owns.
+        let header = BinaryFrameHeader {
+            session,
+            encoding: ProbEncoding::F64,
+            width: 1 << 20,
+            height: 1 << 20,
+            channels: 1 << 19,
+            payload_len: 1 << 62,
+            checksum: 0,
+        };
+        assert_eq!(header.checked_payload_len(u64::MAX).unwrap(), 1 << 62);
+        writer.write_all(&header.to_bytes()).unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        let mut lines = rest.lines();
+        assert!(matches!(
+            Response::decode(lines.next().expect("one reply")).unwrap(),
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ));
+        assert_eq!(lines.next(), None, "then the connection closes");
+
+        let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+        client.ping().unwrap();
+        let (session, _) = client.open("default", "cam").unwrap();
+        let probs = ProbMap::uniform(6, 4, 3);
+        assert_eq!(client.submit(session, &probs).unwrap().0, 0);
+        handle.shutdown();
+    }
+
     #[test]
     fn negotiate_confirms_the_dispersion_precision_frames_actually_get() {
         use std::io::{BufRead, BufReader, Write};

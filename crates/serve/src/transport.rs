@@ -15,6 +15,14 @@
 //! is skipped by its declared length, and only an unbounded declared payload
 //! (or an oversized newline-free line) forces a disconnect.
 //!
+//! A valid binary header gets a payload buffer of its own, reserved with
+//! `try_reserve_exact` at the declared length: a reservation the allocator
+//! refuses is answered `bad-request` and the connection closed, never an
+//! abort. The bytes already buffered behind the header move into it once,
+//! and the rest is read from the socket straight into its spare capacity,
+//! never past its end. So a payload never passes through the input buffer,
+//! and resident memory still grows only with the bytes received.
+//!
 //! Inference never runs on the event loop, and JSON frames are mostly decoded
 //! off it. The loop frames each line, finding its newline with std's
 //! memchr-backed search; a frame line spelled exactly as
@@ -24,8 +32,9 @@
 //! same [`decode_line`] the loop runs on every other line. The router,
 //! [`canonical_frame_session`], lives in [`crate::protocol`] next to the
 //! frame writer and reader, the one module that knows that spelling.
-//! Binary payloads are still checksummed here: moving that check to the
-//! workers measured no gain on `hires` or `fleet`.
+//! Binary payloads are still checksummed here, with the four-lane
+//! [`metaseg_data::crc32`]: moving the check to the workers measured no gain
+//! on `hires` or `fleet`, because it stays on each frame's critical path.
 //!
 //! Frame, `stats`, `resume` and `close` operations become [`Job`]s on the
 //! session's shard queue; the shard worker posts a [`Completion`] back
@@ -152,9 +161,11 @@ impl ByteBuf {
 enum ReadState {
     /// At a message boundary: route on the first byte.
     Route,
-    /// A valid binary header was consumed; accumulating its payload.
+    /// A valid binary header was consumed; its payload is read into
+    /// `payload`, reserved at the declared length `needed`.
     BinaryPayload {
         header: BinaryFrameHeader,
+        payload: Vec<u8>,
         needed: usize,
     },
     /// A rejected binary frame's payload is being discarded so the stream
@@ -596,15 +607,38 @@ impl Transport {
     }
 
     /// Reads until the socket would block, feeding the parse state machine
-    /// after every chunk.
+    /// after every chunk. A binary payload is read from the socket straight
+    /// into its own buffer, never past its end; every other byte arrives
+    /// through the input buffer.
     fn drive_read(&mut self, conn: &mut Conn) -> ReadOutcome {
         let mut scratch = [0u8; 16 * 1024];
         loop {
-            match conn.stream.read(&mut scratch) {
-                Ok(0) => return ReadOutcome::Dead,
-                Ok(count) => {
-                    conn.last_activity = Instant::now();
-                    conn.inbuf.extend(&scratch[..count]);
+            let (arrived, result) = match &mut conn.read_state {
+                // `take` stops the read at the payload's end, and std reads
+                // into the reserved capacity without zeroing it first.
+                ReadState::BinaryPayload {
+                    payload, needed, ..
+                } => {
+                    let before = payload.len();
+                    let missing = (*needed - before) as u64;
+                    let result = (&mut conn.stream).take(missing).read_to_end(payload);
+                    (payload.len() - before, result.map(|_| ()))
+                }
+                _ => match conn.stream.read(&mut scratch) {
+                    Ok(count) => {
+                        conn.inbuf.extend(&scratch[..count]);
+                        (count, Ok(()))
+                    }
+                    Err(e) => (0, Err(e)),
+                },
+            };
+            if arrived > 0 {
+                conn.last_activity = Instant::now();
+            }
+            match result {
+                // End of stream, here or in mid-payload.
+                Ok(()) if arrived == 0 => return ReadOutcome::Dead,
+                Ok(()) => {
                     if self.parse_messages(conn) == ReadOutcome::Dead {
                         return ReadOutcome::Dead;
                     }
@@ -656,35 +690,22 @@ impl Transport {
                         }
                     }
                 }
-                ReadState::BinaryPayload { ref header, needed } => {
-                    if conn.inbuf.len() < needed {
+                ReadState::BinaryPayload {
+                    header,
+                    ref mut payload,
+                    needed,
+                } => {
+                    // Bytes that arrived behind the header move in once;
+                    // `drive_read` reads the rest straight into the payload.
+                    let moved = (needed - payload.len()).min(conn.inbuf.len());
+                    payload.extend_from_slice(&conn.inbuf.as_slice()[..moved]);
+                    conn.inbuf.consume(moved);
+                    if payload.len() < needed {
                         return ReadOutcome::Alive;
                     }
-                    let header = *header;
-                    let payload = conn.inbuf.take(needed);
+                    let payload = std::mem::take(payload);
                     conn.read_state = ReadState::Route;
-                    let seq = conn.alloc_slot();
-                    // Zero-copy ingest: verify the checksum, then hand the
-                    // wire bytes to the shard unchanged — dequantization
-                    // happens in the worker, straight into the session's
-                    // extraction scratch.
-                    match header.verified_payload(payload) {
-                        Ok(payload) => {
-                            self.shared.binary_frames.fetch_add(1, Ordering::Relaxed);
-                            if let Some(response) = self.submit_frame(
-                                conn,
-                                seq,
-                                header.session,
-                                JobPayload::Encoded {
-                                    payload,
-                                    dispersion: conn.dispersion,
-                                },
-                            ) {
-                                conn.fill(seq, response);
-                            }
-                        }
-                        Err(e) => conn.fill(seq, bad_request(e)),
-                    }
+                    self.submit_payload(conn, header, payload);
                 }
                 ReadState::BinarySkip { remaining } => {
                     let discard = remaining.min(conn.inbuf.len());
@@ -700,15 +721,15 @@ impl Transport {
         }
     }
 
-    /// Routes a buffered 36-byte binary header: a valid header either starts
-    /// payload accumulation or (for a frame doomed regardless of its
+    /// Routes a buffered 36-byte binary header: a valid header either
+    /// reserves its payload buffer or (for a frame doomed regardless of its
     /// contents — binary framing not negotiated, or an unknown session id)
     /// slots the typed rejection and discards the payload without ever
     /// buffering it for decode. An invalid header is answered and skipped by
-    /// its declared length when that is bounded; otherwise the connection is
-    /// answered and closed (reading an unbounded payload would defeat the
-    /// memory cap, and skipping terabytes is indistinguishable from a hung
-    /// connection).
+    /// its declared length when that is bounded; otherwise, or when the
+    /// payload buffer cannot be reserved, the connection is answered and
+    /// closed (reading an unbounded payload would defeat the memory cap, and
+    /// skipping terabytes is indistinguishable from a hung connection).
     fn route_binary_header(&mut self, conn: &mut Conn) {
         let mut header_bytes = [0u8; BINARY_HEADER_LEN];
         header_bytes.copy_from_slice(&conn.inbuf.as_slice()[..BINARY_HEADER_LEN]);
@@ -737,10 +758,25 @@ impl Transport {
                         };
                     }
                     None => {
-                        conn.read_state = ReadState::BinaryPayload {
-                            header,
-                            needed: payload_len,
-                        };
+                        // Reserved, not written: resident memory still
+                        // grows only with the bytes received.
+                        let mut payload = Vec::new();
+                        if payload.try_reserve_exact(payload_len).is_ok() {
+                            conn.read_state = ReadState::BinaryPayload {
+                                header,
+                                payload,
+                                needed: payload_len,
+                            };
+                        } else {
+                            let seq = conn.alloc_slot();
+                            conn.fill(
+                                seq,
+                                bad_request(format!(
+                                    "cannot allocate the declared {payload_len}-byte payload"
+                                )),
+                            );
+                            conn.closing = true;
+                        }
                     }
                 }
             }
@@ -759,6 +795,32 @@ impl Transport {
                     conn.closing = true;
                 }
             }
+        }
+    }
+
+    /// Checks a complete binary payload against its header and submits it.
+    /// The shard gets the bytes as they came off the socket: dequantization
+    /// happens in the worker, straight into the session's extraction
+    /// scratch.
+    fn submit_payload(&mut self, conn: &mut Conn, header: BinaryFrameHeader, payload: Vec<u8>) {
+        let seq = conn.alloc_slot();
+        let response = match header.verified_payload(payload) {
+            Ok(payload) => {
+                self.shared.binary_frames.fetch_add(1, Ordering::Relaxed);
+                self.submit_frame(
+                    conn,
+                    seq,
+                    header.session,
+                    JobPayload::Encoded {
+                        payload,
+                        dispersion: conn.dispersion,
+                    },
+                )
+            }
+            Err(e) => Some(bad_request(e)),
+        };
+        if let Some(response) = response {
+            conn.fill(seq, response);
         }
     }
 

@@ -212,10 +212,11 @@ impl BinaryFrameHeader {
     }
 
     /// Verifies a received payload's checksum and wraps it as a
-    /// [`ProbPayload`] *without decoding a single value* — the zero-copy
-    /// ingest path: the bytes move from the socket buffer into the payload
-    /// unchanged, and dequantization happens later, directly into the
-    /// extraction scratch of whichever worker picks the frame up.
+    /// [`ProbPayload`] *without decoding a single value* — the ingest path:
+    /// the server reads the payload from the socket into the buffer passed
+    /// here, which the payload then owns unchanged, and dequantization
+    /// happens later, directly into the extraction scratch of whichever
+    /// worker picks the frame up.
     ///
     /// # Errors
     ///
