@@ -101,7 +101,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// The gate clauses this run breaks, by name; empty when it passes.
-    pub fn violations(&self) -> Vec<&'static str> {
+    fn violations(&self) -> Vec<&'static str> {
         let frames = self.cameras * self.frames_per_camera;
         let shard_sum =
             |count: fn(&ShardStats) -> usize| self.shards.iter().map(count).sum::<usize>();

@@ -164,11 +164,7 @@ fn meta_classification(
 }
 
 /// Evaluates one regime end to end, producing its sweep row.
-pub fn evaluate_regime(
-    suite: &ScenarioSuite,
-    kind: RegimeKind,
-    config: &SweepConfig,
-) -> RegimeSummary {
+fn evaluate_regime(suite: &ScenarioSuite, kind: RegimeKind, config: &SweepConfig) -> RegimeSummary {
     let frames = degraded_frames(suite, kind, config);
     let cut = ((frames.len() as f64 * config.train_fraction).round() as usize)
         .clamp(1, frames.len().saturating_sub(1).max(1));

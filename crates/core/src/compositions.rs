@@ -45,12 +45,12 @@ impl Composition {
     }
 
     /// Whether the composition includes the real ground-truth samples.
-    pub fn uses_real(&self) -> bool {
+    fn uses_real(&self) -> bool {
         !matches!(self, Composition::Pseudo)
     }
 
     /// Whether the composition includes SMOTE-augmented samples.
-    pub fn uses_augmented(&self) -> bool {
+    fn uses_augmented(&self) -> bool {
         matches!(
             self,
             Composition::RealAugmented | Composition::RealAugmentedPseudo
@@ -58,7 +58,7 @@ impl Composition {
     }
 
     /// Whether the composition includes pseudo-ground-truth samples.
-    pub fn uses_pseudo(&self) -> bool {
+    fn uses_pseudo(&self) -> bool {
         matches!(
             self,
             Composition::RealAugmentedPseudo | Composition::RealPseudo | Composition::Pseudo

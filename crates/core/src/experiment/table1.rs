@@ -168,11 +168,7 @@ impl Table1Result {
 
 /// Generates the per-network frames (shared ground-truth scenes, one
 /// prediction per network) used by Table I and Fig. 1.
-pub fn generate_frames(
-    config: &Table1Config,
-    profile: NetworkProfile,
-    seed_offset: u64,
-) -> Vec<Frame> {
+fn generate_frames(config: &Table1Config, profile: NetworkProfile, seed_offset: u64) -> Vec<Frame> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ seed_offset);
     let sim = NetworkSim::new(profile);
     (0..config.scene_count)

@@ -120,7 +120,7 @@ impl VideoExperimentResult {
 
     /// The best cell (by AUROC) for one model and composition — one row of
     /// Table II's classification half.
-    pub fn best_classification(
+    fn best_classification(
         &self,
         model: MetaModel,
         composition: Composition,
@@ -138,11 +138,7 @@ impl VideoExperimentResult {
 
     /// The best cell (by R²) for one model and composition — one row of
     /// Table II's regression half.
-    pub fn best_regression(
-        &self,
-        model: MetaModel,
-        composition: Composition,
-    ) -> Option<&VideoCell> {
+    fn best_regression(&self, model: MetaModel, composition: Composition) -> Option<&VideoCell> {
         self.cells
             .iter()
             .filter(|c| c.model == model && c.composition == composition)

@@ -59,7 +59,6 @@ pub mod experiment;
 pub mod fnr;
 pub mod metaseg;
 pub mod metrics;
-pub mod multires;
 pub mod pipeline;
 pub mod stream;
 pub mod timedyn;

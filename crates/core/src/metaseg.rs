@@ -121,7 +121,7 @@ impl MetaSeg {
 
     /// Extracts the segment records (with IoU targets) of all labelled
     /// frames, in parallel across frames via [`FrameBatch`].
-    pub fn collect_records(&self, frames: &[Frame]) -> Vec<SegmentRecord> {
+    fn collect_records(&self, frames: &[Frame]) -> Vec<SegmentRecord> {
         FrameBatch::with_config(frames, self.config.metrics).labeled_records()
     }
 
@@ -164,7 +164,7 @@ impl MetaSeg {
     /// # Errors
     ///
     /// See [`MetaSeg::run`].
-    pub fn evaluate_datasets<R: Rng>(
+    fn evaluate_datasets<R: Rng>(
         &self,
         all: &TabularDataset,
         entropy_only: &TabularDataset,

@@ -76,31 +76,6 @@ impl FeatureSet {
     }
 }
 
-/// Human readable names of the metric vector entries, in order.
-pub fn metric_names() -> Vec<String> {
-    let mut names = vec![
-        "entropy_mean".to_string(),
-        "entropy_boundary".to_string(),
-        "entropy_interior".to_string(),
-        "margin_mean".to_string(),
-        "margin_boundary".to_string(),
-        "margin_interior".to_string(),
-        "variation_ratio_mean".to_string(),
-        "variation_ratio_boundary".to_string(),
-        "variation_ratio_interior".to_string(),
-        "area".to_string(),
-        "boundary_length".to_string(),
-        "interior_area".to_string(),
-        "relative_interior_area".to_string(),
-        "fractality".to_string(),
-        "max_prob_mean".to_string(),
-    ];
-    for class in SemanticClass::ALL.iter().take(NUM_CHANNELS) {
-        names.push(format!("mean_prob_{}", class.name().replace(' ', "_")));
-    }
-    names
-}
-
 /// One predicted segment together with its metric vector and (if ground truth
 /// is available) its IoU target.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,14 +96,6 @@ pub struct SegmentRecord {
     /// when no ground truth is available or the segment lies entirely in a
     /// void region.
     pub iou: Option<f64>,
-}
-
-impl SegmentRecord {
-    /// Meta-classification label: `true` iff `IoU > 0` (not a false positive).
-    /// `None` when the segment has no IoU target.
-    pub fn is_true_positive(&self) -> Option<bool> {
-        self.iou.map(|v| v > 0.0)
-    }
 }
 
 /// Computes the metric vector and IoU target of every predicted segment.
@@ -173,18 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn metric_names_match_metric_count() {
-        assert_eq!(metric_names().len(), METRIC_COUNT);
-    }
-
-    #[test]
     fn perfect_prediction_has_unit_iou_and_zero_entropy() {
         let (probs, gt) = simple_frame();
         let records = segment_metrics(&probs, Some(&gt), &MetricsConfig::default());
         assert_eq!(records.len(), 2);
         for record in &records {
             assert_eq!(record.iou, Some(1.0));
-            assert_eq!(record.is_true_positive(), Some(true));
             // One-hot probabilities: zero entropy everywhere.
             assert!(record.metrics[0].abs() < 1e-9);
             assert_eq!(record.metrics[9] as usize, record.area);
@@ -209,7 +170,6 @@ mod tests {
             .find(|r| r.class == SemanticClass::Car)
             .expect("car segment exists");
         assert_eq!(car.iou, Some(0.0));
-        assert_eq!(car.is_true_positive(), Some(false));
         let road = records
             .iter()
             .find(|r| r.class == SemanticClass::Road)
@@ -240,7 +200,6 @@ mod tests {
             .find(|r| r.class == SemanticClass::Car)
             .unwrap();
         assert_eq!(car.iou, None);
-        assert_eq!(car.is_true_positive(), None);
     }
 
     #[test]
@@ -273,9 +232,9 @@ mod tests {
             let gt = scene.render();
             let probs = sim.predict(&gt, &mut rng);
             for record in segment_metrics(&probs, Some(&gt), &MetricsConfig::default()) {
-                match record.is_true_positive() {
-                    Some(false) => fp_entropy.push(record.metrics[0]),
-                    Some(true) => tp_entropy.push(record.metrics[0]),
+                match record.iou {
+                    Some(iou) if iou > 0.0 => tp_entropy.push(record.metrics[0]),
+                    Some(_) => fp_entropy.push(record.metrics[0]),
                     None => {}
                 }
             }

@@ -580,7 +580,7 @@ impl std::fmt::Display for DispersionPrecision {
 /// reset and plane writeback) over four times the pixels of the original
 /// 64-lane tile — worth ~7% whole-kernel throughput on the large bench
 /// scene. 512 lanes spills L1 and plateaus.
-pub const TILE_LANES: usize = 256;
+const TILE_LANES: usize = 256;
 
 /// A borrowed frame of decoded softmax values in pixel-major storage order
 /// (`values[(y * width + x) * channels + c]`) — what the kernel actually
@@ -1308,15 +1308,6 @@ impl<'a> FrameBatch<'a> {
         self.frames.is_empty()
     }
 
-    /// Per-frame segment records (frame order preserved), extracted in
-    /// parallel. Unlabelled frames yield records with `iou = None`.
-    pub fn segment_records(&self) -> Vec<Vec<SegmentRecord>> {
-        let config = self.config;
-        self.map_frames(move |frame| {
-            frame_metrics(&frame.prediction, frame.ground_truth.as_ref(), &config)
-        })
-    }
-
     /// Flattened records of labelled frames that carry an IoU target — the
     /// structured dataset rows of the paper's Section II.
     pub fn labeled_records(&self) -> Vec<SegmentRecord> {
@@ -1379,7 +1370,10 @@ mod tests {
         let batch = FrameBatch::new(&frames);
         assert_eq!(batch.len(), 4);
         assert!(!batch.is_empty());
-        let per_frame = batch.segment_records();
+        let config = *batch.config();
+        let per_frame = batch.map_frames(move |frame| {
+            frame_metrics(&frame.prediction, frame.ground_truth.as_ref(), &config)
+        });
         assert_eq!(per_frame.len(), frames.len());
         for (frame, records) in frames.iter().zip(&per_frame) {
             let direct = frame_metrics(

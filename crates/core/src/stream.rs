@@ -33,10 +33,10 @@
 use crate::error::MetaSegError;
 use crate::metrics::{MetricsConfig, SegmentRecord, METRIC_COUNT};
 use crate::pipeline::{
-    extract_frame, extract_frame_payload, DispersionPrecision, ExtractionScratch, ScratchStats,
+    extract_frame, extract_frame_payload, DispersionPrecision, ExtractionScratch,
 };
 use crate::timedyn::TimeDynConfig;
-use metaseg_data::{DataError, Frame, LabelMap, ProbPayload, SemanticClass};
+use metaseg_data::{DataError, Frame, ProbPayload, SemanticClass};
 use metaseg_learners::MetaPredictor;
 use metaseg_sim::FrameSource;
 use metaseg_tracking::{IncrementalTracker, TrackerConfig};
@@ -390,13 +390,6 @@ impl MetaSegStream {
         }
     }
 
-    /// Current capacities of the engine's extraction scratch — constant in
-    /// steady state (the kernel allocates nothing once its buffers have
-    /// grown to the session's working-set size).
-    pub fn scratch_stats(&self) -> ScratchStats {
-        self.scratch.stats()
-    }
-
     /// Consumes the next frame of the stream and returns the online verdicts
     /// of its tracked segments. Only the frame's softmax field is read —
     /// ground truth, if present, is ignored.
@@ -437,22 +430,6 @@ impl MetaSegStream {
             extract_frame_payload(payload, None, &metrics_config, &mut self.scratch, precision)?;
         let frame_tracks = self.tracker.observe_segments(components);
         Ok(self.ingest(frame_tracks, &records))
-    }
-
-    /// Streaming entry point for callers that already extracted this frame's
-    /// records (e.g. a frame-parallel pre-extraction stage feeding several
-    /// engines): runs tracking, window update and inference only.
-    ///
-    /// `records` must come from [`crate::pipeline::frame_metrics`] (or
-    /// [`extract_frame`]) on the frame whose Bayes label map is `predicted`,
-    /// with the engine's metric configuration.
-    pub fn push_extracted(
-        &mut self,
-        predicted: &LabelMap,
-        records: &[SegmentRecord],
-    ) -> FrameVerdicts {
-        let frame_tracks = self.tracker.observe(predicted);
-        self.ingest(frame_tracks, records)
     }
 
     /// Shared tail of the push paths: window update, assembly, inference.
@@ -811,9 +788,10 @@ mod tests {
 
     /// One engine session (one [`ExtractionScratch`]) fed frames of two
     /// different shapes produces verdicts identical to the same engine fed
-    /// fresh-scratch extraction results through `push_extracted` — stale
-    /// scratch state never leaks between frames of different extents — and
-    /// the session scratch stops growing once both shapes have been seen.
+    /// fresh-scratch extraction results through its tracking/window tail —
+    /// stale scratch state never leaks between frames of different extents
+    /// — and the session scratch stops growing once both shapes have been
+    /// seen.
     #[test]
     fn scratch_reuse_across_frame_shapes_matches_fresh_extraction() {
         let predictor = fitted_predictor(2);
@@ -856,7 +834,8 @@ mod tests {
                 &mut ExtractionScratch::new(),
             )
             .1;
-            let manual_verdicts = manual.push_extracted(&predicted, &records);
+            let frame_tracks = manual.tracker.observe(&predicted);
+            let manual_verdicts = manual.ingest(frame_tracks, &records);
             assert_eq!(
                 session_verdicts, manual_verdicts,
                 "frame {index}: reused session scratch must match fresh-scratch extraction"
@@ -866,12 +845,12 @@ mod tests {
         // Steady state: replaying shapes the session has already served
         // grows no scratch buffer (the verdicts differ — the tracker has
         // history now — but extraction allocates nothing).
-        let stats_after_first_lap = streamed.scratch_stats();
+        let stats_after_first_lap = streamed.scratch.stats();
         for frame in &frames {
             streamed.push_frame(frame);
         }
         assert_eq!(
-            streamed.scratch_stats(),
+            streamed.scratch.stats(),
             stats_after_first_lap,
             "steady-state frames must not allocate session scratch"
         );

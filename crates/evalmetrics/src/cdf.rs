@@ -58,7 +58,7 @@ impl EmpiricalCdf {
 
     /// Empirical quantile for `p` in `[0, 1]` (lower empirical quantile).
     ///
-    /// Thin panicking wrapper over [`EmpiricalCdf::quantile_clamped`].
+    /// Thin panicking wrapper over `quantile_clamped`.
     ///
     /// # Panics
     ///
@@ -70,10 +70,8 @@ impl EmpiricalCdf {
 
     /// Empirical quantile with `p` clamped into `[0, 1]` instead of
     /// panicking on out-of-range input; a NaN level is treated as `0` (the
-    /// minimum). This is the path services must use on computed levels,
-    /// where floating-point drift can push `p` marginally outside the unit
-    /// interval.
-    pub fn quantile_clamped(&self, p: f64) -> f64 {
+    /// minimum).
+    fn quantile_clamped(&self, p: f64) -> f64 {
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
         if p <= 0.0 {
             return self.sorted[0];

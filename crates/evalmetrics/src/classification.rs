@@ -21,7 +21,7 @@ impl ConfusionCounts {
     /// # Panics
     ///
     /// Panics if the two slices have different lengths.
-    pub fn from_predictions(predicted: &[bool], actual: &[bool]) -> Self {
+    fn from_predictions(predicted: &[bool], actual: &[bool]) -> Self {
         assert_eq!(
             predicted.len(),
             actual.len(),
@@ -69,16 +69,6 @@ impl ConfusionCounts {
             return 0.0;
         }
         self.true_positives as f64 / denom as f64
-    }
-
-    /// F1 score (harmonic mean of precision and recall); `0` when undefined.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            return 0.0;
-        }
-        2.0 * p * r / (p + r)
     }
 }
 
@@ -202,7 +192,6 @@ mod tests {
         assert!((c.accuracy() - 0.6).abs() < 1e-12);
         assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.recall() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.f1() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -211,7 +200,6 @@ mod tests {
         assert_eq!(c.accuracy(), 0.0);
         assert_eq!(c.precision(), 0.0);
         assert_eq!(c.recall(), 0.0);
-        assert_eq!(c.f1(), 0.0);
     }
 
     #[test]

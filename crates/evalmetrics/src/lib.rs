@@ -3,9 +3,9 @@
 //! Evaluation metrics used throughout the MetaSeg reproduction:
 //!
 //! * binary classification quality: [`accuracy`], [`auroc`],
-//!   [`ConfusionCounts`], precision/recall/F1,
+//!   [`ConfusionCounts`], precision/recall,
 //! * regression quality: [`r_squared`], [`residual_sigma`],
-//!   [`pearson_correlation`], mean absolute error,
+//!   [`pearson_correlation`],
 //! * distribution comparison: [`EmpiricalCdf`] and first-order
 //!   [`stochastic dominance`](EmpiricalCdf::stochastically_dominates),
 //! * aggregation over repeated runs: [`RunStatistics`] (the "averaged over 10
@@ -35,5 +35,5 @@ mod summary;
 pub use cdf::EmpiricalCdf;
 pub use classification::{accuracy, auroc, average_precision, ConfusionCounts};
 pub use regime::RegimeSummary;
-pub use regression::{mean_absolute_error, pearson_correlation, r_squared, residual_sigma};
+pub use regression::{pearson_correlation, r_squared, residual_sigma};
 pub use summary::RunStatistics;

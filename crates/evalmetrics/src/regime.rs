@@ -48,15 +48,6 @@ impl RegimeSummary {
             .saturating_sub(self.missed_segments_ml)
     }
 
-    /// Fraction of Bayes-missed person segments the ML rule rescues;
-    /// `0.0` when Bayes misses none.
-    pub fn rescue_rate(&self) -> f64 {
-        if self.missed_segments_bayes == 0 {
-            return 0.0;
-        }
-        self.rescued_segments() as f64 / self.missed_segments_bayes as f64
-    }
-
     /// Whether every floating-point metric of the row is finite — the CI
     /// smoke invariant: no degradation regime may drive the evaluation into
     /// NaN or infinity.
@@ -87,19 +78,12 @@ mod tests {
     fn rescue_arithmetic() {
         let row = summary();
         assert_eq!(row.rescued_segments(), 6);
-        assert!((row.rescue_rate() - 0.6).abs() < 1e-12);
         // ML missing more than Bayes never yields a negative rescue.
         let worse = RegimeSummary {
             missed_segments_ml: 15,
             ..row
         };
         assert_eq!(worse.rescued_segments(), 0);
-        let no_misses = RegimeSummary {
-            missed_segments_bayes: 0,
-            missed_segments_ml: 0,
-            ..summary()
-        };
-        assert_eq!(no_misses.rescue_rate(), 0.0);
     }
 
     #[test]

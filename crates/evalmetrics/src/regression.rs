@@ -1,4 +1,4 @@
-//! Regression quality metrics: R², residual sigma, Pearson correlation, MAE.
+//! Regression quality metrics: R², residual sigma, Pearson correlation.
 
 /// Coefficient of determination `R²` of predictions against targets.
 ///
@@ -56,29 +56,6 @@ pub fn residual_sigma(predictions: &[f64], targets: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Mean absolute error between predictions and targets.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mean_absolute_error(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(
-        predictions.len(),
-        targets.len(),
-        "predictions and targets must have the same length"
-    );
-    assert!(
-        !targets.is_empty(),
-        "mean_absolute_error requires at least one sample"
-    );
-    predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / targets.len() as f64
-}
-
 /// Pearson correlation coefficient `R` between two samples.
 ///
 /// Returns `0.0` when either sample has zero variance.
@@ -121,7 +98,6 @@ mod tests {
         let targets = [0.1, 0.5, 0.9, 0.3];
         assert!((r_squared(&targets, &targets) - 1.0).abs() < 1e-12);
         assert!(residual_sigma(&targets, &targets).abs() < 1e-12);
-        assert!(mean_absolute_error(&targets, &targets).abs() < 1e-12);
         assert!((pearson_correlation(&targets, &targets) - 1.0).abs() < 1e-12);
     }
 
@@ -146,7 +122,6 @@ mod tests {
         let targets = [2.0, 4.0];
         // residuals -1 and -2, mse = 2.5, sigma = sqrt(2.5)
         assert!((residual_sigma(&predictions, &targets) - 2.5f64.sqrt()).abs() < 1e-12);
-        assert!((mean_absolute_error(&predictions, &targets) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl RunStatistics {
 
     /// Sample standard deviation over runs (`n - 1` denominator); `0.0` for
     /// fewer than two runs.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         if self.values.len() < 2 {
             return 0.0;
         }
@@ -67,7 +67,7 @@ impl RunStatistics {
 
     /// Standard deviation of the computed mean (standard error), the `(±…)`
     /// quantity reported in the paper's tables; `0.0` for fewer than two runs.
-    pub fn std_error(&self) -> f64 {
+    fn std_error(&self) -> f64 {
         if self.values.len() < 2 {
             return 0.0;
         }

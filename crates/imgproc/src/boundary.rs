@@ -41,7 +41,7 @@ pub fn boundary_length(region: &Region, labels: &Grid<usize>) -> usize {
 }
 
 /// Boolean mask (same shape as `labels`) marking the inner boundary of `region`.
-pub fn boundary_mask(region: &Region, labels: &Grid<usize>) -> Grid<bool> {
+fn boundary_mask(region: &Region, labels: &Grid<usize>) -> Grid<bool> {
     let mut mask = Grid::filled(labels.width(), labels.height(), false);
     for (x, y) in inner_boundary(region, labels) {
         mask.set(x, y, true);

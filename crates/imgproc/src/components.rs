@@ -50,12 +50,6 @@ impl Region {
         let n = self.area as f64;
         (self.centroid_sum.0 / n, self.centroid_sum.1 / n)
     }
-
-    /// Width and height of the bounding box.
-    pub fn bbox_size(&self) -> (usize, usize) {
-        let (x0, y0, x1, y1) = self.bbox;
-        (x1 - x0 + 1, y1 - y0 + 1)
-    }
 }
 
 /// Result of a connected-component labelling pass.
@@ -128,7 +122,7 @@ impl ComponentLabels {
     }
 
     /// Consumes the labelling and returns `(label grid, regions)`.
-    pub fn into_parts(self) -> (Grid<usize>, Vec<Region>) {
+    fn into_parts(self) -> (Grid<usize>, Vec<Region>) {
         (self.labels, self.regions)
     }
 }
@@ -340,7 +334,7 @@ mod tests {
         let (cx, cy) = top.centroid();
         assert!((cx - 1.0).abs() < 1e-12);
         assert!((cy - 0.0).abs() < 1e-12);
-        assert_eq!(top.bbox_size(), (3, 1));
+        assert_eq!(top.bbox, (0, 0, 2, 0));
         assert!(cc.region(99).is_none());
     }
 

@@ -23,15 +23,6 @@ pub enum GridError {
         /// Length of the provided buffer.
         found: usize,
     },
-    /// A crop or window does not fit inside the grid.
-    WindowOutOfBounds {
-        /// Grid shape `(width, height)`.
-        shape: (usize, usize),
-        /// Window origin `(x, y)`.
-        origin: (usize, usize),
-        /// Window size `(width, height)`.
-        size: (usize, usize),
-    },
 }
 
 impl fmt::Display for GridError {
@@ -49,15 +40,6 @@ impl fmt::Display for GridError {
             GridError::LengthMismatch { expected, found } => write!(
                 f,
                 "flat buffer has length {found}, expected width*height = {expected}"
-            ),
-            GridError::WindowOutOfBounds {
-                shape,
-                origin,
-                size,
-            } => write!(
-                f,
-                "window {}x{} at ({}, {}) does not fit into grid {}x{}",
-                size.0, size.1, origin.0, origin.1, shape.0, shape.1
             ),
         }
     }

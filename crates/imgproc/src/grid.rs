@@ -130,7 +130,7 @@ impl<T> Grid<T> {
     ///
     /// Panics if `(x, y)` lies outside the grid.
     #[inline]
-    pub fn index_of(&self, x: usize, y: usize) -> usize {
+    fn index_of(&self, x: usize, y: usize) -> usize {
         assert!(
             x < self.width && y < self.height,
             "pixel ({x}, {y}) out of bounds for {}x{} grid",
@@ -138,17 +138,6 @@ impl<T> Grid<T> {
             self.height
         );
         y * self.width + x
-    }
-
-    /// Converts a flat row-major index back to `(x, y)` coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    #[inline]
-    pub fn coords_of(&self, index: usize) -> (usize, usize) {
-        assert!(index < self.data.len(), "flat index out of bounds");
-        (index % self.width, index / self.width)
     }
 
     /// Reference to the value at `(x, y)`.
@@ -300,63 +289,6 @@ impl<T: Clone> Grid<T> {
             data: vec![value; width * height],
         }
     }
-
-    /// Extracts a rectangular sub-grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::WindowOutOfBounds`] if the window does not fit
-    /// and [`GridError::EmptyGrid`] for a zero-sized window.
-    pub fn crop(
-        &self,
-        x0: usize,
-        y0: usize,
-        width: usize,
-        height: usize,
-    ) -> Result<Grid<T>, GridError> {
-        if width == 0 || height == 0 {
-            return Err(GridError::EmptyGrid);
-        }
-        if x0 + width > self.width || y0 + height > self.height {
-            return Err(GridError::WindowOutOfBounds {
-                shape: self.shape(),
-                origin: (x0, y0),
-                size: (width, height),
-            });
-        }
-        let mut data = Vec::with_capacity(width * height);
-        for y in y0..y0 + height {
-            let start = y * self.width + x0;
-            data.extend_from_slice(&self.data[start..start + width]);
-        }
-        Ok(Grid {
-            width,
-            height,
-            data,
-        })
-    }
-
-    /// Writes `patch` into this grid with its upper-left corner at `(x0, y0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::WindowOutOfBounds`] if the patch does not fit.
-    pub fn blit(&mut self, x0: usize, y0: usize, patch: &Grid<T>) -> Result<(), GridError> {
-        if x0 + patch.width > self.width || y0 + patch.height > self.height {
-            return Err(GridError::WindowOutOfBounds {
-                shape: self.shape(),
-                origin: (x0, y0),
-                size: patch.shape(),
-            });
-        }
-        for y in 0..patch.height {
-            for x in 0..patch.width {
-                let value = patch.data[y * patch.width + x].clone();
-                self.data[(y0 + y) * self.width + (x0 + x)] = value;
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<T: Clone + PartialEq> Grid<T> {
@@ -450,15 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn coords_roundtrip() {
-        let g = Grid::filled(7, 5, 0u8);
-        for i in 0..g.len() {
-            let (x, y) = g.coords_of(i);
-            assert_eq!(g.index_of(x, y), i);
-        }
-    }
-
-    #[test]
     fn checked_get_handles_out_of_bounds() {
         let g = Grid::filled(3, 3, 1u8);
         assert_eq!(g.checked_get(-1, 0), None);
@@ -475,23 +398,6 @@ mod tests {
         assert_eq!(g.neighbors8(0, 0).len(), 3);
         assert_eq!(g.neighbors8(1, 1).len(), 8);
         assert_eq!(g.neighbors8(2, 2).len(), 3);
-    }
-
-    #[test]
-    fn crop_and_blit_roundtrip() {
-        let g = Grid::from_fn(6, 4, |x, y| (y * 6 + x) as i32);
-        let patch = g.crop(2, 1, 3, 2).unwrap();
-        assert_eq!(patch.shape(), (3, 2));
-        assert_eq!(*patch.get(0, 0), *g.get(2, 1));
-        assert_eq!(*patch.get(2, 1), *g.get(4, 2));
-
-        let mut blank = Grid::filled(6, 4, -1);
-        blank.blit(2, 1, &patch).unwrap();
-        assert_eq!(*blank.get(2, 1), *g.get(2, 1));
-        assert_eq!(*blank.get(0, 0), -1);
-
-        assert!(blank.blit(5, 3, &patch).is_err());
-        assert!(g.crop(4, 3, 3, 3).is_err());
     }
 
     #[test]
@@ -527,25 +433,6 @@ mod tests {
             for y in 0..h {
                 for x in 0..w {
                     prop_assert_eq!(*g.get(x, y), (x * 1000 + y) as u32);
-                }
-            }
-        }
-
-        #[test]
-        fn prop_crop_preserves_values(
-            w in 2usize..16, h in 2usize..16,
-            fx in 0.0f64..1.0, fy in 0.0f64..1.0,
-            fw in 0.0f64..1.0, fh in 0.0f64..1.0,
-        ) {
-            let g = Grid::from_fn(w, h, |x, y| (x, y));
-            let x0 = ((w - 1) as f64 * fx) as usize;
-            let y0 = ((h - 1) as f64 * fy) as usize;
-            let cw = 1 + ((w - x0 - 1) as f64 * fw) as usize;
-            let ch = 1 + ((h - y0 - 1) as f64 * fh) as usize;
-            let c = g.crop(x0, y0, cw, ch).unwrap();
-            for y in 0..ch {
-                for x in 0..cw {
-                    prop_assert_eq!(*c.get(x, y), (x0 + x, y0 + y));
                 }
             }
         }

@@ -14,8 +14,8 @@
 //! * [`inner_boundary`] / [`boundary_length`] — inner-boundary extraction
 //!   and boundary length,
 //! * [`iou`] — intersection-over-union between pixel sets,
-//! * [`resize_nearest`] / [`resize_bilinear`] — resampling (used by the
-//!   nested multi-resolution variant of MetaSeg),
+//! * [`resize_nearest`] — nearest-neighbour resampling (used by the
+//!   `resolution-switch` scenario regime),
 //! * [`Ppm`] / [`ColorMap`] — tiny PPM/PGM writers and colour maps so that
 //!   the figure regeneration binaries can emit actual images without an
 //!   image crate.
@@ -43,10 +43,10 @@ mod iou;
 mod render;
 mod resize;
 
-pub use boundary::{boundary_length, boundary_mask, inner_boundary, interior_mask};
+pub use boundary::{boundary_length, inner_boundary, interior_mask};
 pub use components::{connected_components, ComponentLabels, Connectivity, Labeler, Region};
 pub use error::GridError;
 pub use grid::Grid;
 pub use iou::{iou, PixelSet};
 pub use render::{Color, ColorMap, Ppm};
-pub use resize::{resize_bilinear, resize_nearest, CropWindow};
+pub use resize::resize_nearest;

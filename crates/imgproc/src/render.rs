@@ -31,7 +31,7 @@ impl Color {
     pub const WHITE: Color = Color::new(255, 255, 255);
 
     /// Linear interpolation between two colours, `t` clamped to `[0, 1]`.
-    pub fn lerp(self, other: Color, t: f64) -> Color {
+    fn lerp(self, other: Color, t: f64) -> Color {
         let t = t.clamp(0.0, 1.0);
         let mix = |a: u8, b: u8| -> u8 { (a as f64 + (b as f64 - a as f64) * t).round() as u8 };
         Color::new(
@@ -45,8 +45,6 @@ impl Color {
 /// Continuous colour maps used when rendering heat maps and IoU panels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ColorMap {
-    /// Black → white.
-    Grayscale,
     /// Red (low) → yellow → green (high); the paper's Fig. 1 convention.
     RedGreen,
     /// Dark blue (low) → bright yellow (high), a viridis-like ramp.
@@ -58,10 +56,6 @@ impl ColorMap {
     pub fn color(&self, value: f64) -> Color {
         let v = value.clamp(0.0, 1.0);
         match self {
-            ColorMap::Grayscale => {
-                let c = (v * 255.0).round() as u8;
-                Color::new(c, c, c)
-            }
             ColorMap::RedGreen => {
                 let red = Color::new(200, 30, 30);
                 let yellow = Color::new(230, 220, 50);
@@ -165,7 +159,7 @@ impl Ppm {
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
+    fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
         writer.write_all(&self.to_bytes())
     }
 
@@ -197,7 +191,7 @@ mod tests {
 
     #[test]
     fn colormap_clamps_and_orders() {
-        for map in [ColorMap::Grayscale, ColorMap::RedGreen, ColorMap::Heat] {
+        for map in [ColorMap::RedGreen, ColorMap::Heat] {
             let lo = map.color(-2.0);
             let hi = map.color(3.0);
             assert_eq!(lo, map.color(0.0));
@@ -221,12 +215,13 @@ mod tests {
     #[test]
     fn ppm_from_scalar_normalises() {
         let grid = Grid::from_rows(vec![vec![0.0, 5.0], vec![10.0, 2.5]]).unwrap();
-        let img = Ppm::from_scalar(&grid, ColorMap::Grayscale, 0.0, 10.0);
-        assert_eq!(*img.pixels().get(0, 0), Color::BLACK);
-        assert_eq!(*img.pixels().get(0, 1), Color::WHITE);
-        // Degenerate range maps to mid-gray instead of dividing by zero.
-        let flat = Ppm::from_scalar(&Grid::filled(2, 2, 1.0), ColorMap::Grayscale, 1.0, 1.0);
-        assert_eq!(flat.pixels().get(0, 0).r, 128);
+        let img = Ppm::from_scalar(&grid, ColorMap::Heat, 0.0, 10.0);
+        assert_eq!(*img.pixels().get(0, 0), ColorMap::Heat.color(0.0));
+        assert_eq!(*img.pixels().get(0, 1), ColorMap::Heat.color(1.0));
+        // Degenerate range maps to the middle of the ramp instead of
+        // dividing by zero.
+        let flat = Ppm::from_scalar(&Grid::filled(2, 2, 1.0), ColorMap::Heat, 1.0, 1.0);
+        assert_eq!(*flat.pixels().get(0, 0), ColorMap::Heat.color(0.5));
     }
 
     #[test]

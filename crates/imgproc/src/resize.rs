@@ -1,59 +1,9 @@
-//! Nearest-neighbour and bilinear resampling, plus crop windows.
+//! Nearest-neighbour resampling.
 //!
-//! The nested multi-resolution extension of MetaSeg infers a pyramid of
-//! centred crops that are all resized to a common resolution; this module
-//! provides the resampling primitives for that pipeline.
+//! The `resolution-switch` scenario regime rescales label and probability
+//! maps mid-stream with it; nearest-neighbour sampling never mixes labels.
 
-use crate::error::GridError;
 use crate::grid::Grid;
-use serde::{Deserialize, Serialize};
-
-/// A centred crop window expressed as a fraction of the full image.
-///
-/// `scale = 1.0` is the full image, `scale = 0.5` is the centred window of
-/// half the width and height, and so on. Used to describe the nested crops
-/// of the multi-resolution MetaSeg variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CropWindow {
-    /// Linear scale of the crop relative to the full image, in `(0, 1]`.
-    pub scale: f64,
-}
-
-impl CropWindow {
-    /// Creates a crop window with the given linear scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not in `(0, 1]`.
-    pub fn new(scale: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale <= 1.0,
-            "crop scale must lie in (0, 1], got {scale}"
-        );
-        Self { scale }
-    }
-
-    /// Pixel rectangle `(x0, y0, width, height)` of this window inside an
-    /// image of the given shape. The window is centred and at least 1x1.
-    pub fn rect(&self, width: usize, height: usize) -> (usize, usize, usize, usize) {
-        let cw = ((width as f64 * self.scale).round() as usize).clamp(1, width);
-        let ch = ((height as f64 * self.scale).round() as usize).clamp(1, height);
-        let x0 = (width - cw) / 2;
-        let y0 = (height - ch) / 2;
-        (x0, y0, cw, ch)
-    }
-
-    /// Crops `grid` to this window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GridError`] from the underlying crop (cannot happen for
-    /// valid scales but kept for API honesty).
-    pub fn apply<T: Clone>(&self, grid: &Grid<T>) -> Result<Grid<T>, GridError> {
-        let (x0, y0, w, h) = self.rect(grid.width(), grid.height());
-        grid.crop(x0, y0, w, h)
-    }
-}
 
 /// Resizes a grid with nearest-neighbour sampling.
 ///
@@ -75,42 +25,6 @@ pub fn resize_nearest<T: Clone>(grid: &Grid<T>, new_width: usize, new_height: us
         let sx = sx.clamp(0.0, (w - 1) as f64) as usize;
         let sy = sy.clamp(0.0, (h - 1) as f64) as usize;
         grid.get(sx, sy).clone()
-    })
-}
-
-/// Resizes an `f64` grid with bilinear interpolation.
-///
-/// Used for probability channels and uncertainty heat maps where smooth
-/// interpolation is appropriate.
-///
-/// # Panics
-///
-/// Panics if `new_width` or `new_height` is zero.
-pub fn resize_bilinear(grid: &Grid<f64>, new_width: usize, new_height: usize) -> Grid<f64> {
-    assert!(
-        new_width > 0 && new_height > 0,
-        "target dimensions must be non-zero"
-    );
-    let (w, h) = grid.shape();
-    Grid::from_fn(new_width, new_height, |x, y| {
-        let sx = (x as f64 + 0.5) * w as f64 / new_width as f64 - 0.5;
-        let sy = (y as f64 + 0.5) * h as f64 / new_height as f64 - 0.5;
-        let sx = sx.clamp(0.0, (w - 1) as f64);
-        let sy = sy.clamp(0.0, (h - 1) as f64);
-        let x0 = sx.floor() as usize;
-        let y0 = sy.floor() as usize;
-        let x1 = (x0 + 1).min(w - 1);
-        let y1 = (y0 + 1).min(h - 1);
-        let fx = sx - x0 as f64;
-        let fy = sy - y0 as f64;
-        let v00 = *grid.get(x0, y0);
-        let v10 = *grid.get(x1, y0);
-        let v01 = *grid.get(x0, y1);
-        let v11 = *grid.get(x1, y1);
-        v00 * (1.0 - fx) * (1.0 - fy)
-            + v10 * fx * (1.0 - fy)
-            + v01 * (1.0 - fx) * fy
-            + v11 * fx * fy
     })
 }
 
@@ -136,50 +50,6 @@ mod tests {
         assert_eq!(*r.get(3, 3), 4);
     }
 
-    #[test]
-    fn bilinear_constant_grid_stays_constant() {
-        let g = Grid::filled(5, 5, 0.7);
-        let r = resize_bilinear(&g, 9, 3);
-        for v in r.iter() {
-            assert!((v - 0.7).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn bilinear_preserves_value_range() {
-        let g = Grid::from_fn(6, 6, |x, y| (x + y) as f64 / 10.0);
-        let r = resize_bilinear(&g, 13, 4);
-        let (min, max) = (g.min(), g.max());
-        for v in r.iter() {
-            assert!(*v >= min - 1e-12 && *v <= max + 1e-12);
-        }
-    }
-
-    #[test]
-    fn crop_window_rect_is_centered() {
-        let w = CropWindow::new(0.5);
-        let (x0, y0, cw, ch) = w.rect(100, 60);
-        assert_eq!((cw, ch), (50, 30));
-        assert_eq!((x0, y0), (25, 15));
-        let full = CropWindow::new(1.0);
-        assert_eq!(full.rect(100, 60), (0, 0, 100, 60));
-    }
-
-    #[test]
-    #[should_panic]
-    fn crop_window_rejects_zero_scale() {
-        let _ = CropWindow::new(0.0);
-    }
-
-    #[test]
-    fn crop_window_apply() {
-        let g = Grid::from_fn(8, 8, |x, y| (x, y));
-        let w = CropWindow::new(0.5);
-        let c = w.apply(&g).unwrap();
-        assert_eq!(c.shape(), (4, 4));
-        assert_eq!(*c.get(0, 0), (2, 2));
-    }
-
     proptest! {
         #[test]
         fn prop_nearest_only_produces_existing_values(
@@ -194,29 +64,6 @@ mod tests {
             for v in r.iter() {
                 prop_assert!(originals.contains(v));
             }
-        }
-
-        #[test]
-        fn prop_bilinear_within_bounds(
-            w in 2usize..8, h in 2usize..8, nw in 1usize..12, nh in 1usize..12, seed in 0u64..200
-        ) {
-            use rand::{Rng, SeedableRng, rngs::StdRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = Grid::from_fn(w, h, |_, _| rng.gen_range(0.0..1.0));
-            let r = resize_bilinear(&g, nw, nh);
-            let (min, max) = (g.min(), g.max());
-            for v in r.iter() {
-                prop_assert!(*v >= min - 1e-9 && *v <= max + 1e-9);
-            }
-        }
-
-        #[test]
-        fn prop_crop_window_fits(scale in 0.01f64..1.0, w in 1usize..50, h in 1usize..50) {
-            let window = CropWindow::new(scale);
-            let (x0, y0, cw, ch) = window.rect(w, h);
-            prop_assert!(cw >= 1 && ch >= 1);
-            prop_assert!(x0 + cw <= w);
-            prop_assert!(y0 + ch <= h);
         }
     }
 }

@@ -115,11 +115,6 @@ impl GradientBoostingRegressor {
         })
     }
 
-    /// Number of fitted boosting stages.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// The configuration the ensemble was trained with.
     pub fn config(&self) -> &BoostingConfig {
         &self.config
@@ -203,13 +198,8 @@ impl GradientBoostingClassifier {
         })
     }
 
-    /// Number of fitted boosting stages.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Raw accumulated log-odds score for one feature vector.
-    pub fn decision_function(&self, features: &[f64]) -> f64 {
+    fn decision_function(&self, features: &[f64]) -> f64 {
         self.initial_log_odds
             + self
                 .trees
@@ -244,7 +234,7 @@ mod tests {
         let mean = y.iter().sum::<f64>() / y.len() as f64;
         let baseline: f64 = y.iter().map(|t| (t - mean).powi(2)).sum();
         assert!(sse < baseline * 0.05);
-        assert_eq!(model.n_trees(), 50);
+        assert_eq!(model.trees.len(), 50);
     }
 
     #[test]

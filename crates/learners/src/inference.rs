@@ -138,7 +138,7 @@ impl MetaPredictor {
     /// # Panics
     ///
     /// Panics if the row does not match [`MetaPredictor::feature_dim`].
-    pub fn score_one(&self, raw: &[f64]) -> f64 {
+    fn score_one(&self, raw: &[f64]) -> f64 {
         self.classifier
             .predict_proba_one(&self.scaler.transform_row(raw))
     }
@@ -148,7 +148,7 @@ impl MetaPredictor {
     /// # Panics
     ///
     /// Panics if the row does not match [`MetaPredictor::feature_dim`].
-    pub fn predict_iou_one(&self, raw: &[f64]) -> f64 {
+    fn predict_iou_one(&self, raw: &[f64]) -> f64 {
         self.regressor
             .predict_one(&self.scaler.transform_row(raw))
             .clamp(0.0, 1.0)
@@ -177,9 +177,10 @@ impl MetaPredictor {
     }
 
     /// Serializes the handle to compact JSON — the document a checkpoint
-    /// container wraps ([`Self::to_container_bytes`]). [`MetaPredictor::from_json`]
-    /// inverts it exactly: the round-trip reproduces bit-identical
-    /// predictions (floats are rendered in shortest-round-trip form).
+    /// container wraps ([`Self::to_container_bytes`]). Reading it back
+    /// ([`Self::from_container_bytes`]) is exact: the round-trip reproduces
+    /// bit-identical predictions (floats are rendered in shortest-round-trip
+    /// form).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("document model serialization is infallible")
     }
@@ -191,7 +192,7 @@ impl MetaPredictor {
     /// Returns [`LearnError::InvalidModel`] when the text is not valid JSON
     /// or does not describe a predictor (a serving layer must be able to
     /// reject a corrupt checkpoint without panicking).
-    pub fn from_json(json: &str) -> Result<Self, LearnError> {
+    fn from_json(json: &str) -> Result<Self, LearnError> {
         serde_json::from_str(json).map_err(|e| LearnError::InvalidModel(e.to_string()))
     }
 

@@ -141,11 +141,6 @@ impl RidgeRegression {
     pub fn intercept(&self) -> f64 {
         self.intercept
     }
-
-    /// The regularisation strength the model was fit with.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl Regressor for RidgeRegression {
@@ -205,7 +200,7 @@ mod tests {
         let heavy = RidgeRegression::fit(&features, &targets, 100.0).unwrap();
         assert!(heavy.weights()[0].abs() < ols.weights()[0].abs());
         assert!(RidgeRegression::fit(&features, &targets, -1.0).is_err());
-        assert_eq!(heavy.alpha(), 100.0);
+        assert_eq!(heavy.alpha, 100.0);
     }
 
     #[test]

@@ -28,16 +28,6 @@ impl Default for LogisticConfig {
     }
 }
 
-impl LogisticConfig {
-    /// Configuration with the given L2 penalty and defaults otherwise.
-    pub fn with_penalty(l2_penalty: f64) -> Self {
-        Self {
-            l2_penalty,
-            ..Self::default()
-        }
-    }
-}
-
 /// Binary logistic regression: the paper's meta-classification linear model.
 ///
 /// ```
@@ -212,8 +202,11 @@ mod tests {
     fn penalty_shrinks_weights() {
         let (features, labels) = separable_data(40);
         let free = LogisticRegression::fit(&features, &labels, LogisticConfig::default()).unwrap();
-        let penalised =
-            LogisticRegression::fit(&features, &labels, LogisticConfig::with_penalty(5.0)).unwrap();
+        let config = LogisticConfig {
+            l2_penalty: 5.0,
+            ..LogisticConfig::default()
+        };
+        let penalised = LogisticRegression::fit(&features, &labels, config).unwrap();
         let norm = |w: &[f64]| w.iter().map(|v| v * v).sum::<f64>();
         assert!(norm(penalised.weights()) < norm(free.weights()));
     }

@@ -71,7 +71,7 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    fn cols(&self) -> usize {
         self.cols
     }
 

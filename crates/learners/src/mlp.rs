@@ -185,17 +185,6 @@ impl Network {
         }
         self.b2 -= learning_rate * grad_b2 / batch_n;
     }
-
-    fn weight_norm(&self) -> f64 {
-        let hidden: f64 = self
-            .w1
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|w| w * w)
-            .sum();
-        let out: f64 = self.w2.iter().map(|w| w * w).sum();
-        hidden + out
-    }
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -264,11 +253,6 @@ impl MlpRegressor {
     pub fn config(&self) -> &MlpConfig {
         &self.config
     }
-
-    /// Squared L2 norm of all weights (exposed for the regularisation tests).
-    pub fn weight_norm(&self) -> f64 {
-        self.network.weight_norm()
-    }
 }
 
 impl Regressor for MlpRegressor {
@@ -316,11 +300,6 @@ impl MlpClassifier {
     pub fn config(&self) -> &MlpConfig {
         &self.config
     }
-
-    /// Squared L2 norm of all weights (exposed for the regularisation tests).
-    pub fn weight_norm(&self) -> f64 {
-        self.network.weight_norm()
-    }
 }
 
 impl BinaryClassifier for MlpClassifier {
@@ -337,6 +316,13 @@ impl BinaryClassifier for MlpClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Squared L2 norm of all weights of a network.
+    fn weight_norm(network: &Network) -> f64 {
+        let hidden: f64 = network.w1.iter().flatten().map(|w| w * w).sum();
+        let out: f64 = network.w2.iter().map(|w| w * w).sum();
+        hidden + out
+    }
 
     #[test]
     fn regressor_learns_linear_function() {
@@ -393,7 +379,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(strong.weight_norm() < weak.weight_norm());
+        assert!(weight_norm(&strong.network) < weight_norm(&weak.network));
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! # metaseg-rules
 //!
-//! Cost-based decision rules for semantic segmentation (Section IV of the
-//! paper): instead of always taking the class of maximal posterior
-//! probability (the Bayes / MAP rule), a decision maker may weight confusion
-//! events by a cost matrix. The Maximum-Likelihood (ML) rule weights each
-//! confusion by the inverse class prior, which makes the network much more
+//! Decision rules for semantic segmentation (Section IV of the paper):
+//! instead of always taking the class of maximal posterior probability (the
+//! Bayes / MAP rule), a decision maker may weight confusion events by a cost
+//! matrix. The Maximum-Likelihood (ML) rule is the cost matrix that weights
+//! each confusion by the inverse class prior, which makes the network much more
 //! sensitive to rare classes such as pedestrians — reducing false negatives
 //! at the price of extra false positives.
 //!
 //! * [`PriorMap`] — pixel-wise a-priori class probabilities estimated from
 //!   training label maps (the paper's Fig. 4 heat map),
-//! * [`DecisionRule`] — Bayes, Maximum Likelihood (global or position
-//!   specific), or an arbitrary confusion-cost matrix,
+//! * [`DecisionRule`] — Bayes or position-specific Maximum Likelihood,
 //! * [`segment_precision_recall`] — the segment-wise precision / recall
 //!   statistics that Fig. 5 compares across decision rules.
 //!
@@ -34,4 +33,4 @@ mod rule;
 
 pub use evaluation::{segment_precision_recall, SegmentScores};
 pub use priors::PriorMap;
-pub use rule::{CostMatrix, DecisionRule};
+pub use rule::DecisionRule;

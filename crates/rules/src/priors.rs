@@ -82,33 +82,6 @@ impl PriorMap {
         }
     }
 
-    /// Builds a position-independent prior from global class frequencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frequencies` does not have one entry per evaluated class or
-    /// sums to zero, or if the dimensions are zero.
-    pub fn from_global_frequencies(width: usize, height: usize, frequencies: &[f64]) -> Self {
-        assert!(width > 0 && height > 0, "dimensions must be non-zero");
-        assert_eq!(
-            frequencies.len(),
-            NUM_CHANNELS,
-            "expected one frequency per evaluated class"
-        );
-        let sum: f64 = frequencies.iter().sum();
-        assert!(sum > 0.0, "frequencies must not all be zero");
-        let normalised: Vec<f64> = frequencies.iter().map(|f| f / sum).collect();
-        let mut data = Vec::with_capacity(width * height * NUM_CHANNELS);
-        for _ in 0..width * height {
-            data.extend_from_slice(&normalised);
-        }
-        Self {
-            width,
-            height,
-            data,
-        }
-    }
-
     /// Shape as `(width, height)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.width, self.height)
@@ -131,7 +104,7 @@ impl PriorMap {
     }
 
     /// The prior probability of `class` at pixel `(x, y)` (0 for void).
-    pub fn prior_at(&self, x: usize, y: usize, class: SemanticClass) -> f64 {
+    fn prior_at(&self, x: usize, y: usize, class: SemanticClass) -> f64 {
         let channel = class.id() as usize;
         if channel >= NUM_CHANNELS {
             return 0.0;
@@ -188,17 +161,6 @@ mod tests {
         assert_eq!(heat.shape(), (8, 8));
         assert!(*heat.get(0, 4) > *heat.get(0, 0));
         assert!(*heat.get(0, 4) > *heat.get(0, 6));
-    }
-
-    #[test]
-    fn global_frequencies_are_uniform_over_positions() {
-        let mut freqs = vec![0.0; 19];
-        freqs[SemanticClass::Road.id() as usize] = 3.0;
-        freqs[SemanticClass::Human.id() as usize] = 1.0;
-        let prior = PriorMap::from_global_frequencies(4, 4, &freqs);
-        assert!((prior.prior_at(0, 0, SemanticClass::Road) - 0.75).abs() < 1e-12);
-        assert!((prior.prior_at(3, 3, SemanticClass::Human) - 0.25).abs() < 1e-12);
-        assert_eq!(prior.distribution(0, 0), prior.distribution(3, 3));
     }
 
     #[test]

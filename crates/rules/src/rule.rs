@@ -1,87 +1,8 @@
-//! Cost-based decision rules (Bayes / Maximum Likelihood / custom cost matrices).
+//! Decision rules: Bayes (argmax) and Maximum Likelihood with pixel-wise priors.
 
 use crate::priors::PriorMap;
 use metaseg_data::{LabelMap, ProbMap, SemanticClass};
 use serde::{Deserialize, Serialize};
-
-/// Number of evaluated classes (softmax channels).
-const NUM_CHANNELS: usize = 19;
-
-/// A confusion-cost matrix `ψ(ŷ, y)`: the cost of predicting `ŷ` when the
-/// true class is `y`. The diagonal is ignored (a correct decision costs
-/// nothing by definition, cf. eq. (4) of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostMatrix {
-    /// `costs[predicted][actual]`.
-    costs: Vec<Vec<f64>>,
-}
-
-impl CostMatrix {
-    /// The uniform cost matrix (every confusion costs 1), which makes the
-    /// cost-based rule coincide with the Bayes rule.
-    pub fn uniform() -> Self {
-        Self {
-            costs: vec![vec![1.0; NUM_CHANNELS]; NUM_CHANNELS],
-        }
-    }
-
-    /// A cost matrix that charges `weight` for confusing the given class with
-    /// anything else (i.e. for *missing* it) and 1 otherwise. Used to bias a
-    /// rule towards recall on a safety-critical class.
-    pub fn class_weighted(class: SemanticClass, weight: f64) -> Self {
-        assert!(weight >= 0.0, "cost weight must be non-negative");
-        let mut costs = vec![vec![1.0; NUM_CHANNELS]; NUM_CHANNELS];
-        let channel = class.id() as usize;
-        if channel < NUM_CHANNELS {
-            for (predicted, row) in costs.iter_mut().enumerate() {
-                if predicted != channel {
-                    row[channel] = weight;
-                }
-            }
-        }
-        Self { costs }
-    }
-
-    /// Builds a cost matrix from explicit entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not `19 x 19` or contains negative entries.
-    pub fn from_entries(costs: Vec<Vec<f64>>) -> Self {
-        assert_eq!(costs.len(), NUM_CHANNELS, "cost matrix must be 19x19");
-        for row in &costs {
-            assert_eq!(row.len(), NUM_CHANNELS, "cost matrix must be 19x19");
-            assert!(row.iter().all(|c| *c >= 0.0), "costs must be non-negative");
-        }
-        Self { costs }
-    }
-
-    /// The cost of predicting `predicted` when the truth is `actual`.
-    pub fn cost(&self, predicted: usize, actual: usize) -> f64 {
-        if predicted == actual {
-            0.0
-        } else {
-            self.costs[predicted][actual]
-        }
-    }
-
-    /// Picks the class of minimal expected cost for one posterior distribution.
-    pub fn decide(&self, posterior: &[f64]) -> usize {
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for predicted in 0..NUM_CHANNELS.min(posterior.len()) {
-            let expected: f64 = (0..posterior.len().min(NUM_CHANNELS))
-                .filter(|&actual| actual != predicted)
-                .map(|actual| self.cost(predicted, actual) * posterior[actual])
-                .sum();
-            if expected < best_cost {
-                best_cost = expected;
-                best = predicted;
-            }
-        }
-        best
-    }
-}
 
 /// A decision rule turning a softmax field into a hard segmentation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,10 +12,6 @@ pub enum DecisionRule {
     /// Maximum likelihood with position-specific priors: the posterior is
     /// divided by `p̂_z(y)` before the argmax (eq. (8)/(9) of the paper).
     MaximumLikelihood(PriorMap),
-    /// Maximum likelihood with one global prior vector shared by all pixels.
-    GlobalMaximumLikelihood(Vec<f64>),
-    /// An arbitrary confusion-cost matrix applied at every pixel.
-    CostBased(CostMatrix),
 }
 
 impl DecisionRule {
@@ -102,8 +19,7 @@ impl DecisionRule {
     ///
     /// # Panics
     ///
-    /// Panics if a prior map's shape does not match the probability field, or
-    /// a global prior vector does not have one entry per class.
+    /// Panics if the prior map's shape does not match the probability field.
     pub fn apply(&self, probs: &ProbMap) -> LabelMap {
         let (width, height) = probs.shape();
         match self {
@@ -129,30 +45,6 @@ impl DecisionRule {
                     SemanticClass::from_id(best as u16).expect("valid channel")
                 })
             }
-            DecisionRule::GlobalMaximumLikelihood(prior) => {
-                assert_eq!(
-                    prior.len(),
-                    probs.num_classes(),
-                    "global prior must have one entry per class"
-                );
-                LabelMap::from_fn(width, height, |x, y| {
-                    let posterior = probs.distribution(x, y);
-                    let mut best = 0usize;
-                    let mut best_score = f64::NEG_INFINITY;
-                    for (channel, (&p, &q)) in posterior.iter().zip(prior.iter()).enumerate() {
-                        let score = if q > 0.0 { p / q } else { f64::NEG_INFINITY };
-                        if score > best_score {
-                            best_score = score;
-                            best = channel;
-                        }
-                    }
-                    SemanticClass::from_id(best as u16).expect("valid channel")
-                })
-            }
-            DecisionRule::CostBased(costs) => LabelMap::from_fn(width, height, |x, y| {
-                let decided = costs.decide(probs.distribution(x, y));
-                SemanticClass::from_id(decided as u16).expect("valid channel")
-            }),
         }
     }
 
@@ -161,8 +53,6 @@ impl DecisionRule {
         match self {
             DecisionRule::Bayes => "bayes",
             DecisionRule::MaximumLikelihood(_) => "maximum-likelihood",
-            DecisionRule::GlobalMaximumLikelihood(_) => "global-maximum-likelihood",
-            DecisionRule::CostBased(_) => "cost-based",
         }
     }
 }
@@ -187,14 +77,10 @@ mod tests {
         dist
     }
 
-    #[test]
-    fn uniform_costs_reproduce_bayes() {
-        let dist = mostly_road_some_human(0.2);
-        let probs = probs_with(&dist);
-        let bayes = DecisionRule::Bayes.apply(&probs);
-        let cost = DecisionRule::CostBased(CostMatrix::uniform()).apply(&probs);
-        assert_eq!(bayes.class_at(0, 0), cost.class_at(0, 0));
-        assert_eq!(bayes.class_at(0, 0), SemanticClass::Road);
+    /// The prior of a map with no evaluated pixel: Laplace smoothing alone,
+    /// 1/19 for every class.
+    fn uniform_prior() -> PriorMap {
+        PriorMap::estimate(&[LabelMap::filled(1, 1, SemanticClass::Void)], 1.0)
     }
 
     #[test]
@@ -203,16 +89,19 @@ mod tests {
         // likelihood ratio favours human.
         let dist = mostly_road_some_human(0.25);
         let probs = probs_with(&dist);
-        let mut freqs = vec![0.0; 19];
-        freqs[SemanticClass::Road.id() as usize] = 0.40;
-        freqs[SemanticClass::Sidewalk.id() as usize] = 0.10;
-        freqs[SemanticClass::Human.id() as usize] = 0.01;
-        for f in freqs.iter_mut() {
-            if *f == 0.0 {
-                *f = 0.49 / 16.0;
-            }
+        // Training maps: road 40 times, sidewalk 10, human once and every
+        // other evaluated class 3 times.
+        let mut maps = Vec::new();
+        for class in SemanticClass::ALL.into_iter().filter(|c| c.is_evaluated()) {
+            let count = match class {
+                SemanticClass::Road => 40,
+                SemanticClass::Sidewalk => 10,
+                SemanticClass::Human => 1,
+                _ => 3,
+            };
+            maps.extend((0..count).map(|_| LabelMap::filled(1, 1, class)));
         }
-        let rule = DecisionRule::GlobalMaximumLikelihood(freqs);
+        let rule = DecisionRule::MaximumLikelihood(PriorMap::estimate(&maps, 0.0));
         let decided = rule.apply(&probs);
         assert_eq!(decided.class_at(0, 0), SemanticClass::Human);
         // Bayes still says road.
@@ -250,59 +139,22 @@ mod tests {
     }
 
     #[test]
-    fn class_weighted_costs_bias_towards_that_class() {
-        let dist = mostly_road_some_human(0.2);
-        let probs = probs_with(&dist);
-        // Heavily penalise missing a human.
-        let rule = DecisionRule::CostBased(CostMatrix::class_weighted(SemanticClass::Human, 50.0));
-        assert_eq!(rule.apply(&probs).class_at(0, 0), SemanticClass::Human);
-        // With weight 1 it behaves like Bayes again.
-        let neutral =
-            DecisionRule::CostBased(CostMatrix::class_weighted(SemanticClass::Human, 1.0));
-        assert_eq!(neutral.apply(&probs).class_at(0, 0), SemanticClass::Road);
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(DecisionRule::Bayes.name(), "bayes");
         assert_eq!(
-            DecisionRule::CostBased(CostMatrix::uniform()).name(),
-            "cost-based"
+            DecisionRule::MaximumLikelihood(uniform_prior()).name(),
+            "maximum-likelihood"
         );
     }
 
-    #[test]
-    fn cost_matrix_validation() {
-        assert_eq!(CostMatrix::uniform().cost(3, 3), 0.0);
-        assert_eq!(CostMatrix::uniform().cost(3, 4), 1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_entries_rejects_wrong_shape() {
-        let _ = CostMatrix::from_entries(vec![vec![1.0; 3]; 3]);
-    }
-
     proptest! {
-        /// The Bayes rule and the uniform cost rule agree on arbitrary posteriors.
-        #[test]
-        fn prop_bayes_equals_uniform_costs(raw in proptest::collection::vec(0.01f64..1.0, 19)) {
-            let sum: f64 = raw.iter().sum();
-            let dist: Vec<f64> = raw.iter().map(|v| v / sum).collect();
-            let probs = probs_with(&dist);
-            let bayes = DecisionRule::Bayes.apply(&probs);
-            let cost = DecisionRule::CostBased(CostMatrix::uniform()).apply(&probs);
-            prop_assert_eq!(bayes.class_at(0, 0), cost.class_at(0, 0));
-        }
-
         /// With a uniform prior the ML rule coincides with Bayes.
         #[test]
         fn prop_uniform_prior_ml_equals_bayes(raw in proptest::collection::vec(0.01f64..1.0, 19)) {
             let sum: f64 = raw.iter().sum();
             let dist: Vec<f64> = raw.iter().map(|v| v / sum).collect();
             let probs = probs_with(&dist);
-            let uniform_prior = vec![1.0 / 19.0; 19];
-            let ml = DecisionRule::GlobalMaximumLikelihood(uniform_prior).apply(&probs);
+            let ml = DecisionRule::MaximumLikelihood(uniform_prior()).apply(&probs);
             let bayes = DecisionRule::Bayes.apply(&probs);
             prop_assert_eq!(ml.class_at(0, 0), bayes.class_at(0, 0));
         }

@@ -238,19 +238,6 @@ impl ClassCatalog {
         Self { classes }
     }
 
-    /// Number of classes that carry a softmax channel (excludes void).
-    pub fn evaluated_class_count(&self) -> usize {
-        self.classes
-            .iter()
-            .filter(|c| c.class.is_evaluated())
-            .count()
-    }
-
-    /// Total number of classes including void.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Whether the catalogue contains the given class.
     pub fn contains(&self, class: SemanticClass) -> bool {
         self.classes.iter().any(|c| c.class == class)
@@ -272,11 +259,6 @@ impl ClassCatalog {
             .iter()
             .map(|c| c.class)
             .filter(|c| c.is_evaluated())
-    }
-
-    /// Iterator over all classes including void, in id order.
-    pub fn all_classes(&self) -> impl Iterator<Item = SemanticClass> + '_ {
-        self.classes.iter().map(|c| c.class)
     }
 
     /// Typical pixel frequency of the class (0 for unknown classes).
@@ -324,8 +306,8 @@ mod tests {
     #[test]
     fn catalog_has_twenty_classes_nineteen_evaluated() {
         let cat = ClassCatalog::cityscapes_like();
-        assert_eq!(cat.class_count(), 20);
-        assert_eq!(cat.evaluated_class_count(), 19);
+        assert!(SemanticClass::ALL.iter().all(|&class| cat.contains(class)));
+        assert_eq!(cat.evaluated_classes().count(), 19);
         assert!(cat.contains(SemanticClass::Void));
         assert!(!SemanticClass::Void.is_evaluated());
     }
@@ -350,8 +332,11 @@ mod tests {
             sparse.channel_count(),
             SemanticClass::Human.id() as usize + 1
         );
-        assert_eq!(sparse.class_count(), 3);
-        assert_eq!(sparse.evaluated_class_count(), 3);
+        let contained = SemanticClass::ALL
+            .iter()
+            .filter(|&&class| sparse.contains(class));
+        assert_eq!(contained.count(), 3);
+        assert_eq!(sparse.evaluated_classes().count(), 3);
         // Void contributes no channel.
         let with_void = ClassCatalog::new(vec![
             entry(SemanticClass::Road, 0.5),
@@ -375,7 +360,10 @@ mod tests {
     #[test]
     fn frequencies_are_a_rough_distribution() {
         let cat = ClassCatalog::cityscapes_like();
-        let sum: f64 = cat.all_classes().map(|c| cat.typical_frequency(c)).sum();
+        let sum: f64 = SemanticClass::ALL
+            .iter()
+            .map(|&c| cat.typical_frequency(c))
+            .sum();
         assert!((sum - 1.0).abs() < 0.05, "frequencies sum to {sum}");
         // Humans are rare compared to road.
         assert!(

@@ -85,7 +85,7 @@ use std::io::{Read, Write};
 pub const CONTAINER_MAGIC: [u8; 4] = *b"MSGC";
 
 /// Container format version written by (and required by) this build.
-pub const CONTAINER_VERSION: u8 = 1;
+const CONTAINER_VERSION: u8 = 1;
 
 /// Size of the fixed container header in bytes.
 pub const CONTAINER_HEADER_LEN: usize = 8;
@@ -97,7 +97,7 @@ pub const CHUNK_HEADER_LEN: usize = 16;
 const SHAPE_DESC_LEN: usize = 16;
 
 /// Size of a frame descriptor chunk's decompressed body.
-pub const FRAME_DESC_LEN: usize = 32;
+const FRAME_DESC_LEN: usize = 32;
 
 /// Chunk tag of a frame descriptor in a frame corpus.
 pub const TAG_FRAME: u32 = 0xFFFF_FF01;

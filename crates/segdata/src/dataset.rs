@@ -4,69 +4,6 @@ use crate::error::DataError;
 use crate::frame::Frame;
 use serde::{Deserialize, Serialize};
 
-/// Train/validation/test split ratios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SplitRatios {
-    /// Fraction of elements assigned to the training split.
-    pub train: f64,
-    /// Fraction of elements assigned to the validation split.
-    pub validation: f64,
-    /// Fraction of elements assigned to the test split.
-    pub test: f64,
-}
-
-impl SplitRatios {
-    /// Creates a split after validating the ratios.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidSplit`] if any ratio is negative or the
-    /// ratios do not sum to one within `1e-9`.
-    pub fn new(train: f64, validation: f64, test: f64) -> Result<Self, DataError> {
-        let sum = train + validation + test;
-        if train < 0.0 || validation < 0.0 || test < 0.0 || (sum - 1.0).abs() > 1e-9 {
-            return Err(DataError::InvalidSplit { sum });
-        }
-        Ok(Self {
-            train,
-            validation,
-            test,
-        })
-    }
-
-    /// The paper's 80/0/20 meta train/test split (Section II).
-    pub fn meta_80_20() -> Self {
-        Self {
-            train: 0.8,
-            validation: 0.0,
-            test: 0.2,
-        }
-    }
-
-    /// The paper's 70/10/20 split for the KITTI-style video experiments
-    /// (Section III).
-    pub fn video_70_10_20() -> Self {
-        Self {
-            train: 0.7,
-            validation: 0.1,
-            test: 0.2,
-        }
-    }
-
-    /// Splits `count` indices (already shuffled by the caller if desired)
-    /// into train/validation/test index ranges.
-    pub fn split_indices(&self, count: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let train_end = (count as f64 * self.train).round() as usize;
-        let val_end = train_end + (count as f64 * self.validation).round() as usize;
-        let val_end = val_end.min(count);
-        let train_end = train_end.min(val_end);
-        let train = (0..train_end).collect();
-        let validation = (train_end..val_end).collect();
-        let test = (val_end..count).collect();
-        (train, validation, test)
-    }
-}
-
 /// An ordered video sequence of frames.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sequence {
@@ -100,7 +37,7 @@ impl Sequence {
     }
 
     /// Number of labelled frames.
-    pub fn labeled_count(&self) -> usize {
+    fn labeled_count(&self) -> usize {
         self.frames.iter().filter(|f| f.is_labeled()).count()
     }
 
@@ -120,7 +57,7 @@ impl Sequence {
     }
 }
 
-/// A dataset: a bag of sequences (single-image datasets use length-1 sequences).
+/// A dataset: a bag of video sequences.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Dataset {
     /// All sequences of the dataset.
@@ -128,30 +65,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Creates an empty dataset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a dataset of independent single frames (each becomes its own
-    /// length-1 sequence).
-    pub fn from_frames(frames: Vec<Frame>) -> Self {
-        let sequences = frames
-            .into_iter()
-            .enumerate()
-            .map(|(i, f)| Sequence {
-                index: i,
-                frames: vec![f],
-            })
-            .collect();
-        Self { sequences }
-    }
-
-    /// Adds a sequence.
-    pub fn push_sequence(&mut self, sequence: Sequence) {
-        self.sequences.push(sequence);
-    }
-
     /// Number of sequences.
     pub fn sequence_count(&self) -> usize {
         self.sequences.len()
@@ -165,16 +78,6 @@ impl Dataset {
     /// Total number of labelled frames over all sequences.
     pub fn labeled_frame_count(&self) -> usize {
         self.sequences.iter().map(Sequence::labeled_count).sum()
-    }
-
-    /// Iterator over all frames of all sequences in order.
-    pub fn iter_frames(&self) -> impl Iterator<Item = &Frame> {
-        self.sequences.iter().flat_map(|s| s.frames.iter())
-    }
-
-    /// Iterator over all labelled frames.
-    pub fn iter_labeled_frames(&self) -> impl Iterator<Item = &Frame> {
-        self.iter_frames().filter(|f| f.is_labeled())
     }
 }
 
@@ -197,38 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn split_ratios_validate() {
-        assert!(SplitRatios::new(0.7, 0.1, 0.2).is_ok());
-        assert!(SplitRatios::new(0.7, 0.1, 0.3).is_err());
-        assert!(SplitRatios::new(-0.1, 0.6, 0.5).is_err());
-        let s = SplitRatios::meta_80_20();
-        assert!((s.train + s.validation + s.test - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn split_indices_cover_everything_disjointly() {
-        let s = SplitRatios::video_70_10_20();
-        let (train, val, test) = s.split_indices(100);
-        assert_eq!(train.len() + val.len() + test.len(), 100);
-        assert_eq!(train.len(), 70);
-        assert_eq!(val.len(), 10);
-        assert_eq!(test.len(), 20);
-        // Disjoint and covering 0..100.
-        let mut all: Vec<usize> = train.into_iter().chain(val).chain(test).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_indices_handles_tiny_counts() {
-        let s = SplitRatios::meta_80_20();
-        for count in 0..6 {
-            let (train, val, test) = s.split_indices(count);
-            assert_eq!(train.len() + val.len() + test.len(), count);
-        }
-    }
-
-    #[test]
     fn sequence_tracks_labeled_frames() {
         let frames = vec![frame(0, 0, true), frame(0, 1, false), frame(0, 2, true)];
         let seq = Sequence::new(0, frames).unwrap();
@@ -242,19 +113,14 @@ mod tests {
 
     #[test]
     fn dataset_counts_frames() {
-        let mut ds = Dataset::new();
-        ds.push_sequence(Sequence::new(0, vec![frame(0, 0, true), frame(0, 1, false)]).unwrap());
-        ds.push_sequence(Sequence::new(1, vec![frame(1, 0, false)]).unwrap());
+        let ds = Dataset {
+            sequences: vec![
+                Sequence::new(0, vec![frame(0, 0, true), frame(0, 1, false)]).unwrap(),
+                Sequence::new(1, vec![frame(1, 0, false)]).unwrap(),
+            ],
+        };
         assert_eq!(ds.sequence_count(), 2);
         assert_eq!(ds.frame_count(), 3);
         assert_eq!(ds.labeled_frame_count(), 1);
-        assert_eq!(ds.iter_labeled_frames().count(), 1);
-    }
-
-    #[test]
-    fn dataset_from_frames_uses_singleton_sequences() {
-        let ds = Dataset::from_frames(vec![frame(0, 0, true), frame(0, 1, true)]);
-        assert_eq!(ds.sequence_count(), 2);
-        assert_eq!(ds.frame_count(), 2);
     }
 }

@@ -30,11 +30,6 @@ pub enum DataError {
     },
     /// A class id outside the catalogue was encountered.
     UnknownClassId(u16),
-    /// Split ratios do not sum to one or contain negative entries.
-    InvalidSplit {
-        /// Sum of the provided ratios.
-        sum: f64,
-    },
     /// An operation that needs at least one element got an empty collection.
     EmptyCollection(&'static str),
     /// A declared payload shape is unusable: a zero dimension, a pixel /
@@ -78,12 +73,6 @@ impl fmt::Display for DataError {
                 ground_truth.0, ground_truth.1, prediction.0, prediction.1
             ),
             DataError::UnknownClassId(id) => write!(f, "unknown semantic class id {id}"),
-            DataError::InvalidSplit { sum } => {
-                write!(
-                    f,
-                    "split ratios must be non-negative and sum to 1, got sum {sum}"
-                )
-            }
             DataError::EmptyCollection(what) => write!(f, "{what} must not be empty"),
             DataError::InvalidPayloadShape {
                 width,

@@ -111,30 +111,12 @@ impl LabelMap {
         self.ids.count_equal(&class.id())
     }
 
-    /// Fraction of pixels (excluding void) carrying the given class.
-    pub fn class_fraction(&self, class: SemanticClass) -> f64 {
-        let valid = self.pixel_count() - self.class_pixel_count(SemanticClass::Void);
-        if valid == 0 {
-            return 0.0;
-        }
-        self.class_pixel_count(class) as f64 / valid as f64
-    }
-
     /// Connected components ("segments") of the map.
     ///
     /// Every connected set of equal-class pixels becomes one segment; this is
     /// the paper's instance notion for both predictions and ground truth.
     pub fn segments(&self, connectivity: Connectivity) -> ComponentLabels {
         connected_components(&self.ids, connectivity)
-    }
-
-    /// Pixel-count histogram over all classes (indexed by class id).
-    pub fn class_histogram(&self) -> Vec<usize> {
-        let mut histogram = vec![0usize; SemanticClass::ALL.len()];
-        for id in self.ids.iter() {
-            histogram[*id as usize] += 1;
-        }
-        histogram
     }
 
     /// Fraction of pixels where this map and `other` agree (void pixels in
@@ -196,16 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn class_fraction_excludes_void() {
-        let mut map = LabelMap::filled(2, 2, SemanticClass::Road);
-        map.set(0, 0, SemanticClass::Void);
-        map.set(1, 0, SemanticClass::Car);
-        // 3 valid pixels: 2 road, 1 car.
-        assert!((map.class_fraction(SemanticClass::Road) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((map.class_fraction(SemanticClass::Car) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn segments_split_classes() {
         let map = LabelMap::from_fn(4, 1, |x, _| {
             if x < 2 {
@@ -216,20 +188,6 @@ mod tests {
         });
         let segs = map.segments(Connectivity::Eight);
         assert_eq!(segs.component_count(), 2);
-    }
-
-    #[test]
-    fn histogram_sums_to_pixel_count() {
-        let map = LabelMap::from_fn(5, 4, |x, y| {
-            if (x + y) % 2 == 0 {
-                SemanticClass::Road
-            } else {
-                SemanticClass::Sky
-            }
-        });
-        let histogram = map.class_histogram();
-        assert_eq!(histogram.iter().sum::<usize>(), 20);
-        assert_eq!(histogram[SemanticClass::Road.id() as usize], 10);
     }
 
     #[test]
@@ -251,19 +209,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_histogram_matches_counts(seed in 0u64..300) {
-            use rand::{Rng, SeedableRng, rngs::StdRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let map = LabelMap::from_fn(9, 7, |_, _| {
-                SemanticClass::ALL[rng.gen_range(0..20)]
-            });
-            let histogram = map.class_histogram();
-            for class in SemanticClass::ALL {
-                prop_assert_eq!(histogram[class.id() as usize], map.class_pixel_count(class));
-            }
-        }
-
         #[test]
         fn prop_accuracy_self_is_one_without_void(seed in 0u64..300) {
             use rand::{Rng, SeedableRng, rngs::StdRng};

@@ -36,7 +36,7 @@ mod probmap;
 pub use catalog::{ClassCatalog, ClassInfo, SemanticClass};
 pub use container::{ContainerError, ContainerKind, CorpusFrame, CorpusReader, CorpusWriter};
 pub use crc::crc32;
-pub use dataset::{Dataset, Sequence, SplitRatios};
+pub use dataset::{Dataset, Sequence};
 pub use error::DataError;
 pub use frame::{Frame, FrameId};
 pub use labelmap::LabelMap;

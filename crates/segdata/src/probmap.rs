@@ -417,7 +417,7 @@ impl ProbMap {
     /// # Panics
     ///
     /// Panics if `(x, y)` is outside the field.
-    pub fn scan_at(&self, x: usize, y: usize) -> DistributionScan {
+    fn scan_at(&self, x: usize, y: usize) -> DistributionScan {
         DistributionScan::of(self.distribution(x, y))
     }
 
@@ -459,18 +459,18 @@ impl ProbMap {
 
     /// Normalised Shannon entropy at `(x, y)`:
     /// `E_z = -1/log(q) * Σ_y f_z(y) log f_z(y)` ∈ [0, 1].
-    pub fn entropy_at(&self, x: usize, y: usize) -> f64 {
+    fn entropy_at(&self, x: usize, y: usize) -> f64 {
         self.scan_at(x, y).entropy(self.num_classes)
     }
 
     /// Probability margin at `(x, y)`: `D_z = 1 - (p_(1) - p_(2))` ∈ [0, 1],
     /// large when the two best classes compete.
-    pub fn margin_at(&self, x: usize, y: usize) -> f64 {
+    fn margin_at(&self, x: usize, y: usize) -> f64 {
         self.scan_at(x, y).margin()
     }
 
     /// Variation ratio at `(x, y)`: `V_z = 1 - p_(1)` ∈ [0, 1].
-    pub fn variation_ratio_at(&self, x: usize, y: usize) -> f64 {
+    fn variation_ratio_at(&self, x: usize, y: usize) -> f64 {
         self.scan_at(x, y).variation_ratio()
     }
 
@@ -839,7 +839,7 @@ impl ProbMap {
     /// Returns [`DataError::InvalidPayloadShape`] for zero/overflowing
     /// shapes and [`DataError::PayloadSizeMismatch`] when `bytes` has the
     /// wrong length. Never panics, whatever the bytes contain.
-    pub fn from_payload_bytes(
+    fn from_payload_bytes(
         width: usize,
         height: usize,
         channels: usize,

@@ -158,7 +158,7 @@ impl FaultPlan {
 
     /// Half-close: the client→server direction shuts down mid-stream while
     /// responses keep flowing.
-    pub fn half_close() -> Self {
+    fn half_close() -> Self {
         FaultPlan {
             name: "half-close",
             half_close_after: Some(20 * 1024),
@@ -169,7 +169,7 @@ impl FaultPlan {
 
     /// Everything at once: short stalls, cuts, duplicated bytes and
     /// garbage preludes layered on the same link.
-    pub fn mayhem() -> Self {
+    fn mayhem() -> Self {
         FaultPlan {
             name: "mayhem",
             stall_every: Some(96 * 1024),

@@ -58,8 +58,8 @@ pub use chaos::{ChaosProxy, ChaosStats, FaultPlan};
 pub use metaseg_data::{LabelMap, ProbEncoding, ProbMap, ProbPayload};
 pub use network::{NetworkProfile, NetworkSim};
 pub use scenario::{
-    Benign, ClassImbalance, DropoutFill, Fog, FrameJitter, OcclusionBursts, Regime, RegimeKind,
-    RegimeSource, ResolutionSwitch, ScenarioSuite, SensorDropout,
+    Benign, ClassImbalance, Fog, FrameJitter, OcclusionBursts, Regime, RegimeKind, RegimeSource,
+    ResolutionSwitch, ScenarioSuite, SensorDropout,
 };
 pub use scene::{Scene, SceneConfig, SceneObject, ShapeKind};
 pub use source::{CorpusFrameSource, DecodedFrameSource, FrameSource, VideoStream};

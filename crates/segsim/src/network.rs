@@ -163,7 +163,7 @@ impl NetworkSim {
     ///
     /// Panics if the profile is invalid or the catalogue spans fewer than
     /// two softmax channels (a one-class network has nothing to confuse).
-    pub fn with_catalog(profile: NetworkProfile, catalog: ClassCatalog) -> Self {
+    fn with_catalog(profile: NetworkProfile, catalog: ClassCatalog) -> Self {
         profile.assert_valid();
         assert!(
             catalog.channel_count() >= 2,

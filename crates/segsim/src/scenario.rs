@@ -225,25 +225,15 @@ impl Regime for OcclusionBursts {
     }
 }
 
-/// What a dropped-out pixel reads as on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropoutFill {
-    /// All channels NaN — the hard case the extraction kernel must degrade
-    /// gracefully on (see `DistributionScan`'s dropout sanitiser).
-    Nan,
-    /// All channels exactly zero — the "defined" degenerate distribution.
-    Zero,
-    /// Stripes alternate between NaN and zero fills (seeded), covering both
-    /// wire behaviours in one stream.
-    Mixed,
-}
-
 /// Sensor dropout: each frame loses a seeded set of horizontal stripes whose
-/// pixels read as all-NaN or all-zero across every channel. Ground truth is
-/// untouched, so dropout regions become guaranteed prediction errors.
+/// pixels read as all-NaN or all-zero across every channel, NaN or zero
+/// chosen per stripe (seeded) so one stream covers both wire behaviours: NaN
+/// is the hard case the extraction kernel must degrade gracefully on (see
+/// `DistributionScan`'s dropout sanitiser), zero the "defined" degenerate
+/// distribution. Ground truth is untouched, so dropout regions become
+/// guaranteed prediction errors.
 #[derive(Debug)]
 pub struct SensorDropout {
-    fill: DropoutFill,
     max_stripes: usize,
     max_thickness: usize,
     rng: StdRng,
@@ -256,13 +246,12 @@ impl SensorDropout {
     /// # Panics
     ///
     /// Panics if `max_stripes` or `max_thickness` is zero.
-    pub fn new(fill: DropoutFill, max_stripes: usize, max_thickness: usize, seed: u64) -> Self {
+    pub fn new(max_stripes: usize, max_thickness: usize, seed: u64) -> Self {
         assert!(
             max_stripes > 0 && max_thickness > 0,
             "max_stripes and max_thickness must be positive"
         );
         Self {
-            fill,
             max_stripes,
             max_thickness,
             rng: StdRng::seed_from_u64(seed),
@@ -284,16 +273,10 @@ impl Regime for SensorDropout {
             let y0 = self
                 .rng
                 .gen_range(0..height.saturating_sub(thickness).max(1));
-            let value = match self.fill {
-                DropoutFill::Nan => f64::NAN,
-                DropoutFill::Zero => 0.0,
-                DropoutFill::Mixed => {
-                    if self.rng.gen_bool(0.5) {
-                        f64::NAN
-                    } else {
-                        0.0
-                    }
-                }
+            let value = if self.rng.gen_bool(0.5) {
+                f64::NAN
+            } else {
+                0.0
             };
             let dead = vec![value; channels];
             for y in y0..(y0 + thickness).min(height) {
@@ -543,7 +526,7 @@ impl RegimeKind {
             RegimeKind::Benign => Box::new(Benign),
             RegimeKind::Fog => Box::new(Fog::new(0.45, 0.8, salted)),
             RegimeKind::Occlusion => Box::new(OcclusionBursts::new(6, 3, salted)),
-            RegimeKind::Dropout => Box::new(SensorDropout::new(DropoutFill::Mixed, 3, 4, salted)),
+            RegimeKind::Dropout => Box::new(SensorDropout::new(3, 4, salted)),
             RegimeKind::ClassImbalance => Box::new(ClassImbalance::new(0.15)),
             RegimeKind::Jitter => Box::new(FrameJitter::new(0.2, 0.25, salted)),
             RegimeKind::ResolutionSwitch => Box::new(ResolutionSwitch::new(4)),

@@ -37,7 +37,7 @@ pub struct SceneObject {
 
 impl SceneObject {
     /// Centre position at the given time.
-    pub fn center_at(&self, time: f64) -> (f64, f64) {
+    fn center_at(&self, time: f64) -> (f64, f64) {
         (
             self.center.0 + self.velocity.0 * time,
             self.center.1 + self.velocity.1 * time,
@@ -360,11 +360,6 @@ impl Scene {
         &self.objects
     }
 
-    /// Number of foreground objects of a given class.
-    pub fn object_count(&self, class: SemanticClass) -> usize {
-        self.objects.iter().filter(|o| o.class == class).count()
-    }
-
     /// Renders the ground-truth label map at time 0.
     pub fn render(&self) -> LabelMap {
         self.render_at(0.0)
@@ -519,11 +514,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let config = SceneConfig::small();
             let scene = Scene::generate(&config, &mut rng);
-            let cars = scene.object_count(SemanticClass::Car)
-                + scene.object_count(SemanticClass::Truck)
-                + scene.object_count(SemanticClass::Bus);
+            let count = |class| scene.objects.iter().filter(|o| o.class == class).count();
+            let cars = count(SemanticClass::Car)
+                + count(SemanticClass::Truck)
+                + count(SemanticClass::Bus);
             prop_assert!(cars >= config.car_count.0 && cars <= config.car_count.1);
-            let humans = scene.object_count(SemanticClass::Human);
+            let humans = count(SemanticClass::Human);
             prop_assert!(humans >= config.human_count.0 && humans <= config.human_count.1);
             let map = scene.render();
             prop_assert_eq!(map.pixel_count(), config.width * config.height);

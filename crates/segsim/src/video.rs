@@ -38,7 +38,7 @@ impl VideoConfig {
     }
 
     /// A KITTI-like configuration scaled down to simulation size.
-    pub fn kitti_like() -> Self {
+    fn kitti_like() -> Self {
         Self {
             sequence_count: 29,
             frames_per_sequence: 30,

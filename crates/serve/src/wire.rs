@@ -207,7 +207,7 @@ impl BinaryFrameHeader {
     /// Call [`BinaryFrameHeader::checked_payload_len`] first; a
     /// payload of a different length than declared fails the size check of
     /// the inner decode.
-    pub fn decode_payload(&self, payload: &[u8]) -> Result<ProbMap, ServeError> {
+    fn decode_payload(&self, payload: &[u8]) -> Result<ProbMap, ServeError> {
         Ok(self.verified_payload(payload.to_vec())?.decode()?)
     }
 

@@ -3,7 +3,6 @@
 use metaseg_data::{LabelMap, SemanticClass};
 use metaseg_imgproc::{ComponentLabels, Connectivity};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration of the [`SegmentTracker`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,24 +81,6 @@ impl TrackingResult {
     /// Total number of distinct tracks created.
     pub fn track_count(&self) -> usize {
         self.track_count
-    }
-
-    /// All segments of a given track, ordered by frame.
-    pub fn track_history(&self, track_id: usize) -> Vec<&TrackedSegment> {
-        self.frames
-            .iter()
-            .flat_map(|f| f.segments.iter())
-            .filter(|s| s.track_id == track_id)
-            .collect()
-    }
-
-    /// Length (number of frames) of the longest track.
-    pub fn longest_track_length(&self) -> usize {
-        let mut lengths: HashMap<usize, usize> = HashMap::new();
-        for segment in self.frames.iter().flat_map(|f| f.segments.iter()) {
-            *lengths.entry(segment.track_id).or_default() += 1;
-        }
-        lengths.values().copied().max().unwrap_or(0)
     }
 }
 
@@ -394,7 +375,7 @@ impl SegmentTracker {
 
     /// Starts an incremental tracking session with this tracker's
     /// configuration — the streaming entry point.
-    pub fn begin(&self) -> IncrementalTracker {
+    fn begin(&self) -> IncrementalTracker {
         IncrementalTracker::new(self.config)
     }
 
@@ -465,8 +446,6 @@ mod tests {
         assert_eq!(human_ids.len(), 5);
         assert!(human_ids.iter().all(|&id| id == human_ids[0]));
         assert_ne!(car_ids[0], human_ids[0]);
-        assert_eq!(result.track_history(car_ids[0]).len(), 5);
-        assert_eq!(result.longest_track_length(), 5);
     }
 
     #[test]
