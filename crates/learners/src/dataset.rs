@@ -1,8 +1,6 @@
-//! Tabular datasets, feature standardisation and train/test splitting.
+//! Tabular datasets and feature standardisation.
 
 use crate::error::{validate_xy, LearnError};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A tabular dataset of feature rows and real-valued targets.
@@ -79,41 +77,6 @@ impl TabularDataset {
             targets: indices.iter().map(|&i| self.targets[i]).collect(),
         }
     }
-
-    /// Randomly shuffles the samples in place.
-    pub fn shuffle<R: Rng>(&mut self, rng: &mut R) {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(rng);
-        let features = order.iter().map(|&i| self.features[i].clone()).collect();
-        let targets = order.iter().map(|&i| self.targets[i]).collect();
-        self.features = features;
-        self.targets = targets;
-    }
-}
-
-/// Splits a dataset into a training and a test part.
-///
-/// `train_fraction` of the samples (rounded) go to the training set after a
-/// random shuffle driven by `rng`.
-///
-/// # Panics
-///
-/// Panics if `train_fraction` is not within `[0, 1]`.
-pub fn train_test_split<R: Rng>(
-    dataset: &TabularDataset,
-    train_fraction: f64,
-    rng: &mut R,
-) -> (TabularDataset, TabularDataset) {
-    assert!(
-        (0.0..=1.0).contains(&train_fraction),
-        "train_fraction must be in [0, 1]"
-    );
-    let mut order: Vec<usize> = (0..dataset.len()).collect();
-    order.shuffle(rng);
-    let cut = (dataset.len() as f64 * train_fraction).round() as usize;
-    let train_idx = &order[..cut.min(dataset.len())];
-    let test_idx = &order[cut.min(dataset.len())..];
-    (dataset.subset(train_idx), dataset.subset(test_idx))
 }
 
 /// Per-feature standardisation to zero mean and unit variance.
@@ -191,8 +154,6 @@ impl StandardScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     fn toy_dataset(n: usize) -> TabularDataset {
         let features = (0..n).map(|i| vec![i as f64, (i * 2) as f64]).collect();
@@ -231,21 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn split_covers_all_samples() {
-        let ds = toy_dataset(10);
-        let mut rng = StdRng::seed_from_u64(1);
-        let (train, test) = train_test_split(&ds, 0.8, &mut rng);
-        assert_eq!(train.len(), 8);
-        assert_eq!(test.len(), 2);
-        let mut all_targets: Vec<f64> =
-            train.targets.iter().chain(&test.targets).copied().collect();
-        all_targets.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut expected = ds.targets.clone();
-        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(all_targets, expected);
-    }
-
-    #[test]
     fn scaler_standardises_columns() {
         let features = vec![vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]];
         let scaler = StandardScaler::fit(&features).unwrap();
@@ -265,34 +211,5 @@ mod tests {
         let transformed = scaler.transform(&features);
         assert!(transformed.iter().all(|r| r[0].abs() < 1e-12));
         assert!(StandardScaler::fit(&[]).is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_shuffle_preserves_multiset(seed in 0u64..200, n in 1usize..30) {
-            let mut ds = toy_dataset(n);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let before: Vec<f64> = {
-                let mut t = ds.targets.clone();
-                t.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                t
-            };
-            ds.shuffle(&mut rng);
-            let mut after = ds.targets.clone();
-            after.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            prop_assert_eq!(before, after);
-            // feature/target pairing stays intact
-            for (row, t) in ds.features.iter().zip(&ds.targets) {
-                prop_assert!((row[0] / n as f64 - t).abs() < 1e-12);
-            }
-        }
-
-        #[test]
-        fn prop_split_sizes(seed in 0u64..200, n in 1usize..50, frac in 0.0f64..1.0) {
-            let ds = toy_dataset(n);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (train, test) = train_test_split(&ds, frac, &mut rng);
-            prop_assert_eq!(train.len() + test.len(), n);
-        }
     }
 }

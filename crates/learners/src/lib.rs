@@ -8,7 +8,7 @@
 //! for-regression data augmentation. All of them are implemented here on top
 //! of plain `Vec<f64>` tabular data — no external ML framework.
 //!
-//! * [`TabularDataset`], [`StandardScaler`], [`train_test_split`] — data plumbing,
+//! * [`TabularDataset`], [`StandardScaler`] — data plumbing,
 //! * [`LinearRegression`] / [`RidgeRegression`] — closed-form least squares,
 //! * [`LogisticRegression`] — gradient-descent logistic model with optional L2,
 //! * [`GradientBoostingRegressor`] / [`GradientBoostingClassifier`] — boosted
@@ -47,7 +47,7 @@ mod traits;
 mod tree;
 
 pub use boosting::{BoostingConfig, GradientBoostingClassifier, GradientBoostingRegressor};
-pub use dataset::{train_test_split, StandardScaler, TabularDataset};
+pub use dataset::{StandardScaler, TabularDataset};
 pub use error::LearnError;
 pub use inference::{FittedClassifier, FittedRegressor, MetaPredictor};
 pub use linear::{LinearRegression, RidgeRegression};

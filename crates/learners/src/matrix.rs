@@ -29,19 +29,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Builds a matrix from rows of equal length.
     ///
     /// # Panics
@@ -230,7 +217,11 @@ mod tests {
 
     #[test]
     fn identity_and_matmul() {
-        let id = Matrix::identity(3);
+        let id = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ]);
         let a = Matrix::from_rows(&[
             vec![1.0, 2.0, 3.0],
             vec![4.0, 5.0, 6.0],

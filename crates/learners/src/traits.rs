@@ -42,18 +42,6 @@ pub trait BinaryClassifier {
     }
 }
 
-impl<T: Regressor + ?Sized> Regressor for Box<T> {
-    fn predict_one(&self, features: &[f64]) -> f64 {
-        (**self).predict_one(features)
-    }
-}
-
-impl<T: BinaryClassifier + ?Sized> BinaryClassifier for Box<T> {
-    fn predict_proba_one(&self, features: &[f64]) -> f64 {
-        (**self).predict_proba_one(features)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,13 +68,5 @@ mod tests {
         assert_eq!(BinaryClassifier::predict(&model, &rows), vec![true, true]);
         let low = ConstantModel(0.2);
         assert_eq!(BinaryClassifier::predict(&low, &rows), vec![false, false]);
-    }
-
-    #[test]
-    fn boxed_models_still_work() {
-        let boxed: Box<dyn Regressor> = Box::new(ConstantModel(1.5));
-        assert_eq!(boxed.predict_one(&[0.0]), 1.5);
-        let boxed_clf: Box<dyn BinaryClassifier> = Box::new(ConstantModel(0.9));
-        assert!(boxed_clf.predict_one(&[0.0]));
     }
 }

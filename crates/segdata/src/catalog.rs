@@ -261,11 +261,6 @@ impl ClassCatalog {
             .filter(|c| c.is_evaluated())
     }
 
-    /// Typical pixel frequency of the class (0 for unknown classes).
-    pub fn typical_frequency(&self, class: SemanticClass) -> f64 {
-        self.info(class).map(|i| i.typical_frequency).unwrap_or(0.0)
-    }
-
     /// Classes flagged as rare and safety critical (the false-negative focus).
     pub fn rare_critical_classes(&self) -> Vec<SemanticClass> {
         self.classes
@@ -360,16 +355,11 @@ mod tests {
     #[test]
     fn frequencies_are_a_rough_distribution() {
         let cat = ClassCatalog::cityscapes_like();
-        let sum: f64 = SemanticClass::ALL
-            .iter()
-            .map(|&c| cat.typical_frequency(c))
-            .sum();
+        let frequency = |c| cat.info(c).expect("every class has info").typical_frequency;
+        let sum: f64 = SemanticClass::ALL.iter().map(|&c| frequency(c)).sum();
         assert!((sum - 1.0).abs() < 0.05, "frequencies sum to {sum}");
         // Humans are rare compared to road.
-        assert!(
-            cat.typical_frequency(SemanticClass::Human)
-                < cat.typical_frequency(SemanticClass::Road) / 10.0
-        );
+        assert!(frequency(SemanticClass::Human) < frequency(SemanticClass::Road) / 10.0);
     }
 
     #[test]
@@ -407,8 +397,7 @@ mod tests {
         fn prop_info_exists_for_all(idx in 0usize..20) {
             let cat = ClassCatalog::cityscapes_like();
             let class = SemanticClass::ALL[idx];
-            prop_assert!(cat.info(class).is_some());
-            prop_assert!(cat.typical_frequency(class) >= 0.0);
+            prop_assert!(cat.info(class).is_some_and(|info| info.typical_frequency >= 0.0));
         }
     }
 }

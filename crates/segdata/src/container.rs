@@ -1,12 +1,11 @@
-//! The chunked container — one byte format for checkpoints, frame corpora
-//! and golden record corpora.
+//! The chunked container — one byte format for checkpoints and frame
+//! corpora.
 //!
-//! Three subsystems used to hand-roll their own byte layouts: the golden
-//! oracle (JSONL), `MetaPredictor` checkpoints (bare JSON) and the binary
-//! wire payloads. This module unifies their on-disk form: a versioned,
-//! chunked, optionally-compressed container whose payload chunks carry a
-//! CRC-32 each ([`crate::crc32`], shared with the wire protocol), so every
-//! consumer gets the same corruption detection and the same typed errors.
+//! `MetaPredictor` checkpoints and recorded prediction streams share one
+//! on-disk form: a versioned, chunked, optionally-compressed container whose
+//! payload chunks carry a CRC-32 each ([`crate::crc32`], shared with the
+//! wire protocol), so both get the same corruption detection and the same
+//! typed errors. The golden oracle stays JSONL text, which git diffs.
 //!
 //! ## Container layout
 //!
@@ -17,8 +16,7 @@
 //! offset len  field
 //! 0      4    magic      "MSGC"
 //! 4      1    version    1
-//! 5      1    kind       1 = checkpoint | 2 = frame corpus |
-//!                        3 = record corpus        (ContainerKind tag)
+//! 5      1    kind       1 = checkpoint | 2 = frame corpus (ContainerKind tag)
 //! 6      1    flags      bit 0: chunks may be PackBits-compressed
 //! 7      1    reserved   must be 0
 //! ```
@@ -28,7 +26,7 @@
 //!
 //! ```text
 //! offset len  field
-//! 0      4    tag        band / record index, or a marker tag (TAG_*)
+//! 0      4    tag        band index, or a marker tag (TAG_*)
 //! 4      4    raw_len    chunk length after decompression
 //! 8      4    stored_len bytes that follow; < raw_len means compressed
 //! 12     4    checksum   CRC-32 (IEEE) of the stored bytes
@@ -67,8 +65,7 @@
 //! ground truth and a reserved byte), one chunk per horizontal band of the
 //! prediction payload, and optionally one [`TAG_GROUND_TRUTH`] chunk of
 //! `u16` class ids. End of stream is only valid at a frame boundary, so a
-//! torn file is a typed [`ContainerError::Truncated`], never a short read. A
-//! *record corpus* holds one chunk per oracle record (tag = record index).
+//! torn file is a typed [`ContainerError::Truncated`], never a short read.
 //! Decoding is *total*: no input, however corrupt, panics, and every header
 //! length is bounded before anything is allocated from untrusted bytes.
 
@@ -112,8 +109,7 @@ pub const TAG_CHECKPOINT: u32 = 0xFFFF_FF03;
 /// are rejected before any allocation.
 pub const MAX_GRID_BYTES: u64 = 1 << 30;
 
-/// Default cap on a decompressed text chunk (checkpoint JSON, oracle
-/// record): 64 MiB.
+/// Default cap on a decompressed text chunk (checkpoint JSON): 64 MiB.
 pub const MAX_TEXT_CHUNK_BYTES: u64 = 64 << 20;
 
 /// Flag bit: chunks of this container may be PackBits-compressed.
@@ -129,8 +125,6 @@ pub enum ContainerKind {
     Checkpoint,
     /// A stream of frames (predictions plus optional ground truth).
     FrameCorpus,
-    /// A sequence of text records (the golden oracle's corpus form).
-    RecordCorpus,
 }
 
 impl ContainerKind {
@@ -139,17 +133,16 @@ impl ContainerKind {
         match self {
             ContainerKind::Checkpoint => 1,
             ContainerKind::FrameCorpus => 2,
-            ContainerKind::RecordCorpus => 3,
         }
     }
 
-    /// Parses a header tag. Tag 0 is never assigned: it named a retired
-    /// single-payload kind, so such files are rejected, not misread.
+    /// Parses a header tag. Tags 0 and 3 are never assigned: they named a
+    /// retired single-payload kind and a retired text-record kind, so such
+    /// files are rejected, not misread.
     pub fn from_tag(tag: u8) -> Option<Self> {
         Some(match tag {
             1 => ContainerKind::Checkpoint,
             2 => ContainerKind::FrameCorpus,
-            3 => ContainerKind::RecordCorpus,
             _ => return None,
         })
     }
@@ -159,7 +152,6 @@ impl ContainerKind {
         match self {
             ContainerKind::Checkpoint => "checkpoint",
             ContainerKind::FrameCorpus => "frame-corpus",
-            ContainerKind::RecordCorpus => "record-corpus",
         }
     }
 }
@@ -244,7 +236,7 @@ pub enum ContainerError {
     },
     /// Bytes remain after the last chunk of a fixed-size container.
     TrailingBytes(usize),
-    /// A text chunk (checkpoint JSON, oracle record) is not valid UTF-8.
+    /// A text chunk (checkpoint JSON) is not valid UTF-8.
     NotUtf8 {
         /// Tag of the offending chunk.
         tag: u32,
@@ -643,7 +635,7 @@ impl<'a> SliceReader<'a> {
     }
 }
 
-/// Verifies and materialises an owned text/record chunk, capping the
+/// Verifies and materialises an owned text chunk, capping the
 /// allocation at `max_raw` bytes.
 fn chunk_to_vec(chunk: &SliceChunk<'_>, max_raw: u64) -> Result<Vec<u8>, ContainerError> {
     if chunk.raw_len as u64 > max_raw {
@@ -780,62 +772,6 @@ pub fn read_checkpoint(bytes: &[u8]) -> Result<String, ContainerError> {
     String::from_utf8(raw).map_err(|_| ContainerError::NotUtf8 {
         tag: TAG_CHECKPOINT,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Record corpora
-// ---------------------------------------------------------------------------
-
-/// Serializes a sequence of text records (one chunk per record, tag = record
-/// index) — the container form of the golden oracle's JSONL fixtures.
-///
-/// # Errors
-///
-/// Returns [`ContainerError::ChunkTooLarge`] when a record exceeds the 4 GiB
-/// chunk ceiling.
-pub fn write_records<I, S>(records: I, compress: bool) -> Result<Vec<u8>, ContainerError>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut out = Vec::new();
-    out.extend_from_slice(&encode_header(ContainerKind::RecordCorpus, compress));
-    for (index, record) in records.into_iter().enumerate() {
-        emit_chunk(&mut out, index as u32, record.as_ref().as_bytes(), compress)?;
-    }
-    Ok(out)
-}
-
-/// Reads every record of a record corpus, verifying each chunk's checksum
-/// and index. Per-record decompressed size is capped at
-/// [`MAX_TEXT_CHUNK_BYTES`].
-///
-/// # Errors
-///
-/// Any [`ContainerError`]; never panics, whatever the bytes contain.
-pub fn read_records(bytes: &[u8]) -> Result<Vec<String>, ContainerError> {
-    let mut reader = SliceReader { bytes, cursor: 0 };
-    let compressed_allowed = parse_header(
-        reader
-            .take(CONTAINER_HEADER_LEN)?
-            .try_into()
-            .expect("take returned CONTAINER_HEADER_LEN bytes"),
-        ContainerKind::RecordCorpus,
-    )?;
-    let mut records = Vec::new();
-    while let Some(chunk) = reader.next_chunk(compressed_allowed)? {
-        let expected = records.len() as u32;
-        if chunk.tag != expected {
-            return Err(ContainerError::UnexpectedTag {
-                expected,
-                found: chunk.tag,
-            });
-        }
-        let raw = chunk_to_vec(&chunk, MAX_TEXT_CHUNK_BYTES)?;
-        records
-            .push(String::from_utf8(raw).map_err(|_| ContainerError::NotUtf8 { tag: chunk.tag })?);
-    }
-    Ok(records)
 }
 
 // ---------------------------------------------------------------------------

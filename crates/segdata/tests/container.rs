@@ -80,8 +80,10 @@ fn unknown_version_and_kind_are_rejected_before_any_allocation() {
 
     assert_eq!(read_with(4, 9), Err(ContainerError::UnsupportedVersion(9)));
     assert_eq!(read_with(5, 200), Err(ContainerError::UnknownKind(200)));
-    // Tag 0 belonged to a retired kind; it is as unknown as any other.
+    // Tags 0 and 3 belonged to retired kinds; they are as unknown as any
+    // other.
     assert_eq!(read_with(5, 0), Err(ContainerError::UnknownKind(0)));
+    assert_eq!(read_with(5, 3), Err(ContainerError::UnknownKind(3)));
     // A checkpoint container handed to the corpus reader.
     assert!(matches!(
         read_with(5, 1),
@@ -92,15 +94,18 @@ fn unknown_version_and_kind_are_rejected_before_any_allocation() {
         Err(ContainerError::UnknownFlags(_))
     ));
 
-    // A record chunk declaring a huge decompressed size is capped before
-    // its buffer exists.
-    let mut record = container::write_records(["x"], true).unwrap();
+    // A checkpoint chunk declaring a huge decompressed size is capped
+    // before its buffer exists.
+    let mut checkpoint = container::write_checkpoint("x", true).unwrap();
     let declared = (MAX_TEXT_CHUNK_BYTES + 1) as u32;
-    record[CONTAINER_HEADER_LEN + 4..CONTAINER_HEADER_LEN + 8]
+    checkpoint[CONTAINER_HEADER_LEN + 4..CONTAINER_HEADER_LEN + 8]
         .copy_from_slice(&declared.to_le_bytes());
     assert!(matches!(
-        container::read_records(&record),
-        Err(ContainerError::ChunkTooLarge { .. })
+        container::read_checkpoint(&checkpoint),
+        Err(ContainerError::ChunkTooLarge {
+            limit: MAX_TEXT_CHUNK_BYTES,
+            ..
+        })
     ));
 }
 
@@ -171,7 +176,6 @@ proptest! {
             bytes[..4].copy_from_slice(b"MSGC");
             bytes[4] = 1;
         }
-        let _ = container::read_records(&bytes);
         let _ = container::read_checkpoint(&bytes);
         let _ = container::read_corpus(&bytes);
     }
@@ -385,7 +389,7 @@ proptest! {
 }
 
 #[test]
-fn checkpoint_and_record_containers_roundtrip_and_detect_corruption() {
+fn checkpoint_containers_roundtrip_and_detect_corruption() {
     let json = r#"{"scaler":{"mean":[0.1,0.2]},"classifier":"logistic"}"#;
     for compress in [false, true] {
         let bytes = container::write_checkpoint(json, compress).unwrap();
@@ -400,27 +404,6 @@ fn checkpoint_and_record_containers_roundtrip_and_detect_corruption() {
                 | ContainerError::InvalidCompression { .. })
         ));
     }
-
-    let records: Vec<String> = (0..5)
-        .map(|i| format!("{{\"frame\":{i},\"verdicts\":[{i}.5, {}]}}", i * 7))
-        .collect();
-    for compress in [false, true] {
-        let bytes = container::write_records(&records, compress).unwrap();
-        assert_eq!(container::read_records(&bytes).unwrap(), records);
-        for cut in 0..bytes.len() {
-            // Record corpora are fixed containers: any truncation that cuts
-            // a chunk errors; a cut at a chunk boundary yields a prefix.
-            if let Ok(prefix) = container::read_records(&bytes[..cut]) {
-                assert!(prefix.len() < records.len());
-            }
-        }
-    }
-    // Empty corpora are valid and empty.
-    let empty = container::write_records(Vec::<String>::new(), false).unwrap();
-    assert_eq!(
-        container::read_records(&empty).unwrap(),
-        Vec::<String>::new()
-    );
 }
 
 #[test]

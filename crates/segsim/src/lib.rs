@@ -19,10 +19,11 @@
 //! * [`FrameSource`] / [`VideoStream`] — the pull-based streaming surface:
 //!   any `Iterator<Item = Frame>` is a source, and `VideoStream` renders +
 //!   infers frames lazily so online consumers never hold a whole clip,
-//! * [`ScenarioSuite`] / [`Regime`] — composable adverse-condition
+//! * [`ScenarioSuite`] / [`RegimeKind`] — composable adverse-condition
 //!   degradations (fog, occlusion bursts, NaN/zero sensor dropout, class
-//!   imbalance, frame jitter/duplication, mid-stream resolution switches)
-//!   layered over any frame source with seeded determinism,
+//!   imbalance, frame jitter/duplication, mid-stream resolution switches),
+//!   each built into a seeded [`Regime`] and layered over any frame source
+//!   by a [`RegimeSource`],
 //! * [`ChaosProxy`] / [`FaultPlan`] — a seeded byte-level TCP fault proxy
 //!   (trickle delivery, slow-loris stalls, torn frames, duplicated bytes,
 //!   garbage preludes) for chaos-testing the serving transport.
@@ -57,10 +58,7 @@ mod video;
 pub use chaos::{ChaosProxy, ChaosStats, FaultPlan};
 pub use metaseg_data::{LabelMap, ProbEncoding, ProbMap, ProbPayload};
 pub use network::{NetworkProfile, NetworkSim};
-pub use scenario::{
-    Benign, ClassImbalance, Fog, FrameJitter, OcclusionBursts, Regime, RegimeKind, RegimeSource,
-    ResolutionSwitch, ScenarioSuite, SensorDropout,
-};
+pub use scenario::{Regime, RegimeKind, RegimeSource, ScenarioSuite};
 pub use scene::{Scene, SceneConfig, SceneObject, ShapeKind};
 pub use source::{CorpusFrameSource, DecodedFrameSource, FrameSource, VideoStream};
 pub use video::{VideoConfig, VideoScenario};

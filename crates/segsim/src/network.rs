@@ -173,11 +173,6 @@ impl NetworkSim {
         Self { profile, catalog }
     }
 
-    /// The profile this simulator uses.
-    pub fn profile(&self) -> &NetworkProfile {
-        &self.profile
-    }
-
     /// The semantic space this simulator predicts over.
     pub fn catalog(&self) -> &ClassCatalog {
         &self.catalog

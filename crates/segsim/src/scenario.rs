@@ -5,9 +5,10 @@
 //! a production scorer must hold up when the sensor fogs over, pixels drop
 //! out, occluders block the lens, the class mix shifts, or the stream itself
 //! misbehaves (dropped/duplicated frames, mid-stream resolution switches).
-//! Each degradation is a small [`Regime`] implementation with seeded
-//! determinism — the same seed always produces the same degraded stream, so
-//! any regression found under a regime is reproducible bit for bit.
+//! Each degradation is a [`RegimeKind`]; [`RegimeKind::build`] turns it into
+//! a [`Regime`] with seeded determinism — the same seed always produces the
+//! same degraded stream, so any regression found under a regime is
+//! reproducible bit for bit.
 //!
 //! [`RegimeSource`] layers one regime over any frame source and is itself a
 //! frame source, so regimes compose by nesting (fog over dropout over a
@@ -42,234 +43,163 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// One composable stream degradation.
+/// Per-frame fog strength `s`, drawn uniformly from this range.
+const FOG_STRENGTH: std::ops::Range<f64> = 0.45..0.8;
+
+/// An occluder appears every `OCCLUSION_PERIOD` frames…
+const OCCLUSION_PERIOD: usize = 6;
+
+/// …and stays for `OCCLUSION_BURST` consecutive frames.
+const OCCLUSION_BURST: usize = 3;
+
+/// Dropout loses `1..=DROPOUT_MAX_STRIPES` stripes per frame…
+const DROPOUT_MAX_STRIPES: usize = 3;
+
+/// …each `1..=DROPOUT_MAX_ROWS` rows thick.
+const DROPOUT_MAX_ROWS: usize = 4;
+
+/// Factor on the person and rider channels before renormalising.
+const CLASS_IMBALANCE_FACTOR: f64 = 0.15;
+
+/// Jitter drops a frame with this probability…
+const JITTER_DROP_P: f64 = 0.2;
+
+/// …and duplicates a surviving frame with this probability.
+const JITTER_DUP_P: f64 = 0.25;
+
+/// The resolution switch moves to the next scale every `RESOLUTION_PERIOD`
+/// frames…
+const RESOLUTION_PERIOD: usize = 4;
+
+/// …cycling through these `(numerator, denominator)` scale factors.
+const RESOLUTION_SCALES: [(usize, usize); 3] = [(1, 1), (2, 3), (1, 2)];
+
+/// One composable stream degradation: a [`RegimeKind`] at its default
+/// severity, with its own seeded state. Build one with
+/// [`RegimeKind::build`].
 ///
 /// A regime consumes frames one at a time and emits zero or more degraded
-/// frames per input (zero models a dropped frame, two a duplicated one).
-/// Implementations own their RNG state, seeded at construction, so a regime
-/// is a deterministic function of `(seed, input stream)`.
-pub trait Regime: Send {
-    /// Stable regime name, used in reports and on the command line.
-    fn name(&self) -> &'static str;
-
-    /// Degrades one frame, appending the result(s) to `out`.
-    fn apply(&mut self, frame: Frame, out: &mut Vec<Frame>);
-}
-
-/// Rewrites every pixel's distribution through `f`, staging one channel
-/// vector at a time (the `ProbMap` API has no mutable value view).
-fn rewrite_distributions(probs: &mut ProbMap, mut f: impl FnMut(usize, usize, &mut [f64])) {
-    let (width, height) = probs.shape();
-    let channels = probs.num_classes();
-    let mut dist = vec![0.0f64; channels];
-    for y in 0..height {
-        for x in 0..width {
-            dist.copy_from_slice(probs.distribution(x, y));
-            f(x, y, &mut dist);
-            probs.set_distribution_unchecked(x, y, &dist);
-        }
-    }
-}
-
-/// The no-op regime: frames pass through untouched. The identity element of
-/// regime composition, and the sweep's baseline row — its numbers must match
-/// the benign-pipeline numbers exactly.
-#[derive(Debug, Default)]
-pub struct Benign;
-
-impl Regime for Benign {
-    fn name(&self) -> &'static str {
-        "benign"
-    }
-
-    fn apply(&mut self, frame: Frame, out: &mut Vec<Frame>) {
-        out.push(frame);
-    }
-}
-
-/// Fog / low contrast: flattens every softmax towards the uniform
-/// distribution, `p' = (1 - s) p + s / n`, with a per-frame strength drawn
-/// uniformly from `[min_strength, max_strength]`. Ground truth is untouched
-/// — fog degrades the sensor, not the world.
+/// frames per input (zero models a dropped frame, two a duplicated one). Its
+/// RNG is seeded at build, so a regime is a deterministic function of
+/// `(seed, input stream)`.
 #[derive(Debug)]
-pub struct Fog {
-    min_strength: f64,
-    max_strength: f64,
+pub struct Regime {
+    kind: RegimeKind,
+    /// Fog, occlusion, dropout and jitter draw from it; the other kinds
+    /// never do.
     rng: StdRng,
-}
-
-impl Fog {
-    /// A fog regime with per-frame strength in `[min_strength, max_strength]
-    /// ⊂ [0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strengths do not satisfy
-    /// `0 ≤ min_strength ≤ max_strength ≤ 1`.
-    pub fn new(min_strength: f64, max_strength: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&min_strength)
-                && (0.0..=1.0).contains(&max_strength)
-                && min_strength <= max_strength,
-            "fog strengths must satisfy 0 <= min <= max <= 1"
-        );
-        Self {
-            min_strength,
-            max_strength,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Regime for Fog {
-    fn name(&self) -> &'static str {
-        "fog"
-    }
-
-    fn apply(&mut self, mut frame: Frame, out: &mut Vec<Frame>) {
-        let strength = if self.max_strength > self.min_strength {
-            self.rng.gen_range(self.min_strength..self.max_strength)
-        } else {
-            self.min_strength
-        };
-        let uniform = strength / frame.prediction.num_classes() as f64;
-        rewrite_distributions(&mut frame.prediction, |_, _, dist| {
-            for p in dist.iter_mut() {
-                *p = (1.0 - strength) * *p + uniform;
-            }
-        });
-        out.push(frame);
-    }
-}
-
-/// Occlusion bursts: every `period` frames an opaque occluder appears for
-/// `burst_len` consecutive frames, overwriting a seeded rectangle of the
-/// softmax field with a confident wrong prediction (the network "sees" the
-/// occluder, the ground truth still shows the world behind it). The
-/// rectangle is stored in fractional coordinates so it tracks resolution
-/// switches.
-#[derive(Debug)]
-pub struct OcclusionBursts {
-    period: usize,
-    burst_len: usize,
+    /// Frames seen so far (occlusion bursts and resolution switches count).
     seen: usize,
-    remaining: usize,
-    /// Fractional `(x0, y0, w, h)` of the active occluder.
-    rect: (f64, f64, f64, f64),
-    rng: StdRng,
+    /// Occluded frames left in the current burst.
+    occluded_left: usize,
+    /// Fractional `(x0, y0, w, h)` of the active occluder, so it tracks
+    /// resolution switches.
+    occluder: (f64, f64, f64, f64),
 }
 
-impl OcclusionBursts {
-    /// A burst regime: every `period` frames, `burst_len` occluded frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` or `burst_len` is zero.
-    pub fn new(period: usize, burst_len: usize, seed: u64) -> Self {
-        assert!(
-            period > 0 && burst_len > 0,
-            "period and burst_len must be positive"
-        );
-        Self {
-            period,
-            burst_len,
-            seen: 0,
-            remaining: 0,
-            rect: (0.0, 0.0, 0.0, 0.0),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Regime for OcclusionBursts {
-    fn name(&self) -> &'static str {
-        "occlusion"
-    }
-
+impl Regime {
+    /// Degrades one frame, appending the result(s) to `out`.
     fn apply(&mut self, mut frame: Frame, out: &mut Vec<Frame>) {
-        if self.seen.is_multiple_of(self.period) {
-            // Start of a burst: draw a fresh occluder covering roughly a
-            // fifth to a half of each image axis.
-            self.remaining = self.burst_len;
-            let w = self.rng.gen_range(0.2..0.5);
-            let h = self.rng.gen_range(0.2..0.5);
-            let x0 = self.rng.gen_range(0.0..1.0 - w);
-            let y0 = self.rng.gen_range(0.0..1.0 - h);
-            self.rect = (x0, y0, w, h);
-        }
-        self.seen += 1;
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            let (width, height) = frame.prediction.shape();
-            let channels = frame.prediction.num_classes();
-            let occluder = SemanticClass::Building.id() as usize;
-            // The network is *confidently wrong* about the occluder: 0.92 on
-            // one class, the rest spread uniformly.
-            let rest = 0.08 / (channels.saturating_sub(1)).max(1) as f64;
-            let mut dist = vec![rest; channels];
-            if occluder < channels {
-                dist[occluder] = 0.92;
+        match self.kind {
+            RegimeKind::Benign => {}
+            RegimeKind::Fog => {
+                let strength = self.rng.gen_range(FOG_STRENGTH);
+                let uniform = strength / frame.prediction.num_classes() as f64;
+                rewrite_distributions(&mut frame.prediction, |dist| {
+                    for p in dist.iter_mut() {
+                        *p = (1.0 - strength) * *p + uniform;
+                    }
+                });
             }
-            let (fx, fy, fw, fh) = self.rect;
-            let x0 = (fx * width as f64) as usize;
-            let y0 = (fy * height as f64) as usize;
-            let x1 = (((fx + fw) * width as f64) as usize).min(width);
-            let y1 = (((fy + fh) * height as f64) as usize).min(height);
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    frame.prediction.set_distribution_unchecked(x, y, &dist);
+            RegimeKind::Occlusion => self.occlude(&mut frame.prediction),
+            RegimeKind::Dropout => self.drop_stripes(&mut frame.prediction),
+            RegimeKind::ClassImbalance => {
+                let rare = [
+                    SemanticClass::Human.id() as usize,
+                    SemanticClass::Rider.id() as usize,
+                ];
+                rewrite_distributions(&mut frame.prediction, |dist| {
+                    for &c in &rare {
+                        if c < dist.len() {
+                            dist[c] *= CLASS_IMBALANCE_FACTOR;
+                        }
+                    }
+                    let sum: f64 = dist.iter().sum();
+                    if sum > 0.0 {
+                        for p in dist.iter_mut() {
+                            *p /= sum;
+                        }
+                    }
+                });
+            }
+            RegimeKind::Jitter => {
+                if self.rng.gen_bool(JITTER_DROP_P) {
+                    return;
+                }
+                if self.rng.gen_bool(JITTER_DUP_P) {
+                    out.push(frame.clone());
+                }
+            }
+            RegimeKind::ResolutionSwitch => {
+                let scale =
+                    RESOLUTION_SCALES[(self.seen / RESOLUTION_PERIOD) % RESOLUTION_SCALES.len()];
+                self.seen += 1;
+                if scale != (1, 1) {
+                    frame = rescale(frame, scale);
                 }
             }
         }
         out.push(frame);
     }
-}
 
-/// Sensor dropout: each frame loses a seeded set of horizontal stripes whose
-/// pixels read as all-NaN or all-zero across every channel, NaN or zero
-/// chosen per stripe (seeded) so one stream covers both wire behaviours: NaN
-/// is the hard case the extraction kernel must degrade gracefully on (see
-/// `DistributionScan`'s dropout sanitiser), zero the "defined" degenerate
-/// distribution. Ground truth is untouched, so dropout regions become
-/// guaranteed prediction errors.
-#[derive(Debug)]
-pub struct SensorDropout {
-    max_stripes: usize,
-    max_thickness: usize,
-    rng: StdRng,
-}
-
-impl SensorDropout {
-    /// A dropout regime losing `1..=max_stripes` stripes of
-    /// `1..=max_thickness` rows per frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_stripes` or `max_thickness` is zero.
-    pub fn new(max_stripes: usize, max_thickness: usize, seed: u64) -> Self {
-        assert!(
-            max_stripes > 0 && max_thickness > 0,
-            "max_stripes and max_thickness must be positive"
-        );
-        Self {
-            max_stripes,
-            max_thickness,
-            rng: StdRng::seed_from_u64(seed),
+    /// Starts a burst every [`OCCLUSION_PERIOD`] frames and paints the
+    /// occluder into the frames of a running burst.
+    fn occlude(&mut self, prediction: &mut ProbMap) {
+        if self.seen.is_multiple_of(OCCLUSION_PERIOD) {
+            // Start of a burst: draw a fresh occluder covering roughly a
+            // fifth to a half of each image axis.
+            self.occluded_left = OCCLUSION_BURST;
+            let w = self.rng.gen_range(0.2..0.5);
+            let h = self.rng.gen_range(0.2..0.5);
+            let x0 = self.rng.gen_range(0.0..1.0 - w);
+            let y0 = self.rng.gen_range(0.0..1.0 - h);
+            self.occluder = (x0, y0, w, h);
+        }
+        self.seen += 1;
+        if self.occluded_left == 0 {
+            return;
+        }
+        self.occluded_left -= 1;
+        let (width, height) = prediction.shape();
+        let channels = prediction.num_classes();
+        let occluder = SemanticClass::Building.id() as usize;
+        // The network is *confidently wrong* about the occluder: 0.92 on
+        // one class, the rest spread uniformly.
+        let rest = 0.08 / (channels.saturating_sub(1)).max(1) as f64;
+        let mut dist = vec![rest; channels];
+        if occluder < channels {
+            dist[occluder] = 0.92;
+        }
+        let (fx, fy, fw, fh) = self.occluder;
+        let x0 = (fx * width as f64) as usize;
+        let y0 = (fy * height as f64) as usize;
+        let x1 = (((fx + fw) * width as f64) as usize).min(width);
+        let y1 = (((fy + fh) * height as f64) as usize).min(height);
+        for y in y0..y1 {
+            for x in x0..x1 {
+                prediction.set_distribution_unchecked(x, y, &dist);
+            }
         }
     }
-}
 
-impl Regime for SensorDropout {
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
-
-    fn apply(&mut self, mut frame: Frame, out: &mut Vec<Frame>) {
-        let (width, height) = frame.prediction.shape();
-        let channels = frame.prediction.num_classes();
-        let stripes = self.rng.gen_range(1..=self.max_stripes);
+    /// Kills a seeded set of horizontal stripes, each all-NaN or all-zero
+    /// across every channel (a seeded coin per stripe).
+    fn drop_stripes(&mut self, prediction: &mut ProbMap) {
+        let (width, height) = prediction.shape();
+        let channels = prediction.num_classes();
+        let stripes = self.rng.gen_range(1..=DROPOUT_MAX_STRIPES);
         for _ in 0..stripes {
-            let thickness = self.rng.gen_range(1..=self.max_thickness).min(height);
+            let thickness = self.rng.gen_range(1..=DROPOUT_MAX_ROWS).min(height);
             let y0 = self
                 .rng
                 .gen_range(0..height.saturating_sub(thickness).max(1));
@@ -281,142 +211,43 @@ impl Regime for SensorDropout {
             let dead = vec![value; channels];
             for y in y0..(y0 + thickness).min(height) {
                 for x in 0..width {
-                    frame.prediction.set_distribution_unchecked(x, y, &dead);
+                    prediction.set_distribution_unchecked(x, y, &dead);
                 }
             }
         }
-        out.push(frame);
     }
 }
 
-/// Class-imbalanced catalog: suppresses the rare classes of interest
-/// (person, rider) in the softmax by a constant factor and renormalises —
-/// the network systematically under-reports exactly the classes the paper's
-/// false-negative analysis cares about. Deterministic; no RNG state.
-#[derive(Debug)]
-pub struct ClassImbalance {
-    suppression: f64,
-}
-
-impl ClassImbalance {
-    /// Suppresses person/rider channels by `suppression ∈ (0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `suppression` is not in `(0, 1]`.
-    pub fn new(suppression: f64) -> Self {
-        assert!(
-            suppression > 0.0 && suppression <= 1.0,
-            "suppression must lie in (0, 1]"
-        );
-        Self { suppression }
-    }
-}
-
-impl Regime for ClassImbalance {
-    fn name(&self) -> &'static str {
-        "class-imbalance"
-    }
-
-    fn apply(&mut self, mut frame: Frame, out: &mut Vec<Frame>) {
-        let rare = [
-            SemanticClass::Human.id() as usize,
-            SemanticClass::Rider.id() as usize,
-        ];
-        let suppression = self.suppression;
-        rewrite_distributions(&mut frame.prediction, |_, _, dist| {
-            for &c in &rare {
-                if c < dist.len() {
-                    dist[c] *= suppression;
-                }
-            }
-            let sum: f64 = dist.iter().sum();
-            if sum > 0.0 {
-                for p in dist.iter_mut() {
-                    *p /= sum;
-                }
-            }
-        });
-        out.push(frame);
-    }
-}
-
-/// Frame jitter: drops frames and duplicates others at the source, the way
-/// a congested camera link does. A dropped frame emits nothing; a
-/// duplicated one emits twice.
-#[derive(Debug)]
-pub struct FrameJitter {
-    drop_p: f64,
-    dup_p: f64,
-    rng: StdRng,
-}
-
-impl FrameJitter {
-    /// A jitter regime dropping frames with probability `drop_p` and
-    /// duplicating surviving frames with probability `dup_p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability lies outside `[0, 1]`.
-    pub fn new(drop_p: f64, dup_p: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&drop_p) && (0.0..=1.0).contains(&dup_p),
-            "probabilities must lie in [0, 1]"
-        );
-        Self {
-            drop_p,
-            dup_p,
-            rng: StdRng::seed_from_u64(seed),
+/// Rewrites every pixel's distribution through `f`, staging one channel
+/// vector at a time (the `ProbMap` API has no mutable value view).
+fn rewrite_distributions(probs: &mut ProbMap, mut f: impl FnMut(&mut [f64])) {
+    let (width, height) = probs.shape();
+    let channels = probs.num_classes();
+    let mut dist = vec![0.0f64; channels];
+    for y in 0..height {
+        for x in 0..width {
+            dist.copy_from_slice(probs.distribution(x, y));
+            f(&mut dist);
+            probs.set_distribution_unchecked(x, y, &dist);
         }
     }
 }
 
-impl Regime for FrameJitter {
-    fn name(&self) -> &'static str {
-        "jitter"
-    }
-
-    fn apply(&mut self, frame: Frame, out: &mut Vec<Frame>) {
-        if self.rng.gen_bool(self.drop_p) {
-            return;
+/// Nearest-resizes a frame's softmax field *and* its ground truth by
+/// `scale = (numerator, denominator)`, at least one pixel per axis.
+fn rescale(frame: Frame, scale: (usize, usize)) -> Frame {
+    let scaled = |extent: usize| (extent * scale.0 / scale.1).max(1);
+    let (width, height) = frame.prediction.shape();
+    let (new_w, new_h) = (scaled(width), scaled(height));
+    let prediction = resize_probmap_nearest(&frame.prediction, new_w, new_h);
+    match frame.ground_truth {
+        Some(gt) => {
+            let ids = resize_nearest(gt.ids(), new_w, new_h);
+            let gt = LabelMap::from_ids(ids).expect("resized ids stay valid class ids");
+            Frame::labeled(frame.id, gt, prediction)
+                .expect("prediction and ground truth are resized to the same shape")
         }
-        let duplicate = self.rng.gen_bool(self.dup_p);
-        if duplicate {
-            out.push(frame.clone());
-        }
-        out.push(frame);
-    }
-}
-
-/// Mid-stream resolution switches: every `period` frames the stream flips to
-/// the next scale in its cycle, nearest-resizing the softmax field *and* the
-/// ground truth — the shape-switch stress case for scratch reuse, wire
-/// framing and micro-batching.
-#[derive(Debug)]
-pub struct ResolutionSwitch {
-    /// `(numerator, denominator)` scale factors cycled through.
-    scales: Vec<(usize, usize)>,
-    period: usize,
-    seen: usize,
-}
-
-impl ResolutionSwitch {
-    /// Cycles `1/1 → 2/3 → 1/2` every `period` frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(period: usize) -> Self {
-        assert!(period > 0, "period must be positive");
-        Self {
-            scales: vec![(1, 1), (2, 3), (1, 2)],
-            period,
-            seen: 0,
-        }
-    }
-
-    fn scaled(&self, extent: usize, scale: (usize, usize)) -> usize {
-        (extent * scale.0 / scale.1).max(1)
+        None => Frame::unlabeled(frame.id, prediction),
     }
 }
 
@@ -438,50 +269,45 @@ fn resize_probmap_nearest(probs: &ProbMap, new_width: usize, new_height: usize) 
     resized
 }
 
-impl Regime for ResolutionSwitch {
-    fn name(&self) -> &'static str {
-        "resolution-switch"
-    }
-
-    fn apply(&mut self, frame: Frame, out: &mut Vec<Frame>) {
-        let scale = self.scales[(self.seen / self.period) % self.scales.len()];
-        self.seen += 1;
-        if scale == (1, 1) {
-            out.push(frame);
-            return;
-        }
-        let (width, height) = frame.prediction.shape();
-        let (new_w, new_h) = (self.scaled(width, scale), self.scaled(height, scale));
-        let prediction = resize_probmap_nearest(&frame.prediction, new_w, new_h);
-        let degraded = match frame.ground_truth {
-            Some(gt) => {
-                let ids = resize_nearest(gt.ids(), new_w, new_h);
-                let gt = LabelMap::from_ids(ids).expect("resized ids stay valid class ids");
-                Frame::labeled(frame.id, gt, prediction)
-                    .expect("prediction and ground truth are resized to the same shape")
-            }
-            None => Frame::unlabeled(frame.id, prediction),
-        };
-        out.push(degraded);
-    }
-}
-
 /// The named regimes of the scenario suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegimeKind {
-    /// Identity pass-through; the sweep's baseline row.
+    /// The no-op regime: frames pass through untouched. The identity element
+    /// of regime composition, and the sweep's baseline row — its numbers must
+    /// match the benign-pipeline numbers exactly.
     Benign,
-    /// Softmax flattening ([`Fog`]).
+    /// Fog / low contrast: flattens every softmax towards the uniform
+    /// distribution, `p' = (1 - s) p + s / n`, with a per-frame strength `s`
+    /// drawn uniformly from `[0.45, 0.8)`. Ground truth is untouched — fog
+    /// degrades the sensor, not the world.
     Fog,
-    /// Opaque occluder bursts ([`OcclusionBursts`]).
+    /// Occlusion bursts: every 6 frames an opaque occluder appears for 3
+    /// consecutive frames, overwriting a seeded rectangle of the softmax
+    /// field with a confident wrong prediction (the network "sees" the
+    /// occluder, the ground truth still shows the world behind it).
     Occlusion,
-    /// NaN/zero sensor stripes ([`SensorDropout`]).
+    /// Sensor dropout: each frame loses 1–3 seeded horizontal stripes of 1–4
+    /// rows whose pixels read as all-NaN or all-zero across every channel,
+    /// NaN or zero chosen per stripe, so one stream covers both wire
+    /// behaviours: NaN is the hard case the extraction kernel must degrade
+    /// gracefully on (see `DistributionScan`'s dropout sanitiser), zero the
+    /// "defined" degenerate distribution. Ground truth is untouched, so
+    /// dropout regions become guaranteed prediction errors.
     Dropout,
-    /// Person/rider suppression ([`ClassImbalance`]).
+    /// Class-imbalanced catalog: multiplies the rare classes of interest
+    /// (person, rider) in the softmax by 0.15 and renormalises — the network
+    /// systematically under-reports exactly the classes the paper's
+    /// false-negative analysis cares about. Draws nothing from the RNG.
     ClassImbalance,
-    /// Dropped/duplicated frames ([`FrameJitter`]).
+    /// Frame jitter: drops frames (probability 0.2) and duplicates surviving
+    /// ones (probability 0.25) at the source, the way a congested camera
+    /// link does.
     Jitter,
-    /// Mid-stream resolution switches ([`ResolutionSwitch`]).
+    /// Mid-stream resolution switches: every 4 frames the stream flips to
+    /// the next scale of `1/1 → 2/3 → 1/2`, nearest-resizing the softmax
+    /// field *and* the ground truth — the shape-switch stress case for
+    /// scratch reuse, wire framing and micro-batching. Draws nothing from
+    /// the RNG.
     ResolutionSwitch,
 }
 
@@ -499,7 +325,7 @@ impl RegimeKind {
         ]
     }
 
-    /// The stable regime name (matches [`Regime::name`]).
+    /// The stable regime name, used in reports and on the command line.
     pub fn name(self) -> &'static str {
         match self {
             RegimeKind::Benign => "benign",
@@ -520,16 +346,14 @@ impl RegimeKind {
     /// Builds the regime with its default severity, seeded deterministically
     /// from `seed` (each kind salts the seed differently, so a suite built
     /// from one seed gives every regime an independent stream).
-    pub fn build(self, seed: u64) -> Box<dyn Regime> {
+    pub fn build(self, seed: u64) -> Regime {
         let salted = seed ^ (0x9e37_79b9_7f4a_7c15u64).wrapping_mul(self as u64 + 1);
-        match self {
-            RegimeKind::Benign => Box::new(Benign),
-            RegimeKind::Fog => Box::new(Fog::new(0.45, 0.8, salted)),
-            RegimeKind::Occlusion => Box::new(OcclusionBursts::new(6, 3, salted)),
-            RegimeKind::Dropout => Box::new(SensorDropout::new(3, 4, salted)),
-            RegimeKind::ClassImbalance => Box::new(ClassImbalance::new(0.15)),
-            RegimeKind::Jitter => Box::new(FrameJitter::new(0.2, 0.25, salted)),
-            RegimeKind::ResolutionSwitch => Box::new(ResolutionSwitch::new(4)),
+        Regime {
+            kind: self,
+            rng: StdRng::seed_from_u64(salted),
+            seen: 0,
+            occluded_left: 0,
+            occluder: (0.0, 0.0, 0.0, 0.0),
         }
     }
 }
@@ -570,11 +394,6 @@ impl ScenarioSuite {
         &self.regimes
     }
 
-    /// The seed governing every regime's determinism.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Layers `kind` (at suite-seeded determinism) over a frame source.
     pub fn degrade<S: FrameSource>(&self, kind: RegimeKind, source: S) -> RegimeSource<S> {
         RegimeSource::new(kind.build(self.seed), source)
@@ -586,7 +405,7 @@ impl ScenarioSuite {
 /// keeps monotone ids even when the regime drops or duplicates frames.
 pub struct RegimeSource<S> {
     inner: S,
-    regime: Box<dyn Regime>,
+    regime: Regime,
     pending: VecDeque<Frame>,
     staging: Vec<Frame>,
     emitted: usize,
@@ -594,7 +413,7 @@ pub struct RegimeSource<S> {
 
 impl<S: FrameSource> RegimeSource<S> {
     /// Layers `regime` over `inner`.
-    pub fn new(regime: Box<dyn Regime>, inner: S) -> Self {
+    pub fn new(regime: Regime, inner: S) -> Self {
         Self {
             inner,
             regime,
@@ -608,7 +427,7 @@ impl<S: FrameSource> RegimeSource<S> {
 impl<S> std::fmt::Debug for RegimeSource<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegimeSource")
-            .field("regime", &self.regime.name())
+            .field("regime", &self.regime.kind.name())
             .field("pending", &self.pending.len())
             .field("emitted", &self.emitted)
             .finish_non_exhaustive()
@@ -680,7 +499,6 @@ mod tests {
     fn regime_names_roundtrip() {
         for &kind in RegimeKind::all() {
             assert_eq!(RegimeKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.build(1).name(), kind.name());
         }
         assert_eq!(RegimeKind::from_name("sunny"), None);
     }

@@ -355,11 +355,6 @@ impl Scene {
         &self.config
     }
 
-    /// The foreground objects of the scene.
-    pub fn objects(&self) -> &[SceneObject] {
-        &self.objects
-    }
-
     /// Renders the ground-truth label map at time 0.
     pub fn render(&self) -> LabelMap {
         self.render_at(0.0)

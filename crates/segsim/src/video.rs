@@ -69,12 +69,11 @@ impl Default for VideoConfig {
     }
 }
 
-/// A generated video dataset: the per-sequence scenes plus the rendered,
-/// network-inferred frames.
+/// A generated video dataset: the rendered, network-inferred frames of one
+/// scene per sequence.
 #[derive(Debug, Clone)]
 pub struct VideoScenario {
     config: VideoConfig,
-    scenes: Vec<Scene>,
     dataset: Dataset,
     /// Ground-truth maps of every frame (kept even for "unlabelled" frames so
     /// that evaluation and pseudo-label quality checks remain possible).
@@ -90,7 +89,6 @@ impl VideoScenario {
     pub fn generate<R: Rng>(config: &VideoConfig, sim: &NetworkSim, rng: &mut R) -> Self {
         config.assert_valid();
         let mut sequences = Vec::with_capacity(config.sequence_count);
-        let mut scenes = Vec::with_capacity(config.sequence_count);
         let mut full_ground_truth = Vec::with_capacity(config.sequence_count);
 
         for sequence_index in 0..config.sequence_count {
@@ -111,13 +109,11 @@ impl VideoScenario {
                 gt_maps.push(ground_truth);
             }
             sequences.push(Sequence::new(sequence_index, frames).expect("non-empty sequence"));
-            scenes.push(scene);
             full_ground_truth.push(gt_maps);
         }
 
         Self {
             config: config.clone(),
-            scenes,
             dataset: Dataset { sequences },
             full_ground_truth,
         }
@@ -131,11 +127,6 @@ impl VideoScenario {
     /// The generated dataset (sparse labels, dense predictions).
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
-    }
-
-    /// The per-sequence scenes (exposed so that experiments can re-render).
-    pub fn scenes(&self) -> &[Scene] {
-        &self.scenes
     }
 
     /// The full (dense) ground truth of frame `t` of sequence `s`, if present.
@@ -198,7 +189,6 @@ mod tests {
         assert_eq!(ds.frame_count(), 36);
         // Every 4th frame labelled: 3 labelled frames per 12-frame sequence.
         assert_eq!(ds.labeled_frame_count(), 9);
-        assert_eq!(scenario.scenes().len(), 3);
     }
 
     #[test]

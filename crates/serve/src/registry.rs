@@ -190,19 +190,6 @@ impl ModelRegistry {
             .is_some()
     }
 
-    /// Names of all registered models, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .models
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
-    }
-
     /// Number of registered models.
     pub fn len(&self) -> usize {
         self.models
@@ -230,7 +217,7 @@ mod tests {
         registry
             .insert("default", config, predictor.clone())
             .unwrap();
-        assert_eq!(registry.names(), vec!["default".to_string()]);
+        assert_eq!(registry.len(), 1);
         let entry = registry.get("default").unwrap();
         assert_eq!(entry.name(), "default");
         assert_eq!(entry.open_stream().series_length(), 2);
@@ -271,7 +258,10 @@ mod tests {
         assert!(registry
             .load_checkpoint("bad", config, &container[..container.len() / 2])
             .is_err());
-        assert_eq!(registry.names(), vec!["bin".to_string()]);
+        // Failed loads register nothing.
+        assert_eq!(registry.len(), 1);
+        assert!(registry.get("json").is_none());
+        assert!(registry.get("bad").is_none());
         assert!(registry.remove("bin"));
         assert!(!registry.remove("bin"));
     }

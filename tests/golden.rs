@@ -10,10 +10,10 @@
 //! changing every path identically — shows up here as a one-line diff
 //! against a stable oracle.
 //!
-//! The fixture stores one JSON line per frame (metrics first, then
+//! Each fixture is JSONL text: one JSON line per frame (metrics first, then
 //! verdicts), using the same shortest-round-trip float encoding as the wire
-//! protocol, so every `f64` is pinned bit-exactly. After an *intended*
-//! behaviour change, regenerate it with:
+//! protocol, so every `f64` is pinned bit-exactly and git diffs it line by
+//! line. After an *intended* behaviour change, regenerate it with:
 //!
 //! ```text
 //! METASEG_UPDATE_GOLDEN=1 cargo test --test golden
@@ -24,7 +24,7 @@
 use metaseg_bench::serve_fixture;
 use metaseg_suite::metaseg::pipeline::frame_metrics;
 use metaseg_suite::metaseg::stream::MetaSegStream;
-use metaseg_suite::metaseg_data::{container, CorpusWriter, Frame, ProbEncoding, ProbPayload};
+use metaseg_suite::metaseg_data::{CorpusWriter, Frame, ProbEncoding, ProbPayload};
 use metaseg_suite::metaseg_sim::{
     CorpusFrameSource, FrameSource, NetworkProfile, NetworkSim, RegimeKind, ScenarioSuite,
     VideoStream,
@@ -104,44 +104,9 @@ fn render_golden_corpus() -> Vec<String> {
 
 /// Whether this run rewrites the oracles instead of checking them. One
 /// `METASEG_UPDATE_GOLDEN=1 cargo test --test golden` invocation regenerates
-/// every fixture — benign and adverse, JSONL and container — in one pass.
+/// every fixture — benign and adverse — in one pass.
 fn updating() -> bool {
     std::env::var("METASEG_UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Compares `actual` against the checked-in binary oracle at `name`, or
-/// rewrites it when `METASEG_UPDATE_GOLDEN` is set. The byte-level sibling
-/// of [`check_or_update`], for the container-format fixtures.
-fn check_or_update_bytes(name: &str, actual: &[u8]) {
-    let path = fixture_path(name);
-    if updating() {
-        std::fs::create_dir_all(path.parent().expect("fixture path has a parent"))
-            .expect("fixture directory is creatable");
-        std::fs::write(&path, actual).expect("fixture is writable");
-        println!("golden fixture regenerated at {}", path.display());
-        return;
-    }
-    let expected = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {}: {e}\n\
-             regenerate it with METASEG_UPDATE_GOLDEN=1 cargo test --test golden",
-            path.display()
-        )
-    });
-    if expected != actual {
-        let split = expected
-            .iter()
-            .zip(actual)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| expected.len().min(actual.len()));
-        panic!(
-            "golden container fixture {name} is stale: {} expected bytes vs {} rendered, \
-             first divergence at byte {split}\nif this change is intended, regenerate with \
-             METASEG_UPDATE_GOLDEN=1 cargo test --test golden and review its diff",
-            expected.len(),
-            actual.len()
-        );
-    }
 }
 
 /// Compares `actual` against the checked-in oracle at `name`, or rewrites
@@ -255,50 +220,6 @@ fn benign_regime_is_the_identity_on_the_golden_clip() {
 }
 
 #[test]
-fn golden_container_corpora_match_the_jsonl_oracles_record_for_record() {
-    // The container fixtures are the same oracles in the chunked container
-    // format (kind `RecordCorpus`): one record per frame, byte-identical to
-    // the corresponding JSONL line. Checking both representations against
-    // the same rendered lines — and then against *each other's checked-in
-    // bytes* — proves the migration is lossless: nothing in the old fixture
-    // is dropped, reordered or re-encoded by the new one.
-    for (jsonl_name, container_name, lines) in [
-        ("expected.jsonl", "expected.msgc", render_golden_corpus()),
-        (
-            "expected_adverse.jsonl",
-            "expected_adverse.msgc",
-            corpus_lines(&adverse_frames()),
-        ),
-    ] {
-        let bytes =
-            container::write_records(&lines, true).expect("golden lines fit a record corpus");
-        check_or_update_bytes(container_name, &bytes);
-        if updating() {
-            continue;
-        }
-        // The migration invariant, evaluated on the checked-in bytes of
-        // both fixtures (not the freshly rendered lines): old-format and
-        // new-format oracle agree record for record.
-        let container_records =
-            container::read_records(&std::fs::read(fixture_path(container_name)).unwrap())
-                .expect("checked-in container fixture decodes");
-        let jsonl_text = std::fs::read_to_string(fixture_path(jsonl_name)).unwrap();
-        let jsonl_lines: Vec<&str> = jsonl_text.lines().collect();
-        assert_eq!(
-            container_records.len(),
-            jsonl_lines.len(),
-            "{container_name} and {jsonl_name} must hold the same records"
-        );
-        for (index, (record, line)) in container_records.iter().zip(&jsonl_lines).enumerate() {
-            assert_eq!(
-                record, line,
-                "{container_name} record {index} diverges from {jsonl_name}"
-            );
-        }
-    }
-}
-
-#[test]
 fn corpus_replay_reproduces_live_rendered_verdicts_bit_identically() {
     // The acceptance invariant of corpus-driven loadtests: frames recorded
     // to the container format (lossless F64, ground truth included) and
@@ -342,15 +263,7 @@ fn the_golden_directory_holds_exactly_the_known_fixtures() {
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     names.sort();
-    assert_eq!(
-        names,
-        [
-            "expected.jsonl",
-            "expected.msgc",
-            "expected_adverse.jsonl",
-            "expected_adverse.msgc",
-        ]
-    );
+    assert_eq!(names, ["expected.jsonl", "expected_adverse.jsonl"]);
 }
 
 #[test]
